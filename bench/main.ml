@@ -238,12 +238,12 @@ let t4 () =
       [ "wrapper"; "msgs/1k steps (fault-free)"; "msgs/1k steps (faulty)";
         "recovered"; "recovery latency" ]
   in
-  let measure variant delta =
+  let measure term delta =
     let clean =
       List.map
         (fun seed ->
           (Tme.Scenarios.run ra ~n:4 ~seed ~steps:6000
-             ~wrapper:(Tme.Scenarios.wrapped ~variant ~delta ()))
+             ~wrapper:(Tme.Scenarios.wrapped_term ~term ~delta ()))
             .wrapper_sends)
         seeds
     in
@@ -251,7 +251,7 @@ let t4 () =
       List.map
         (fun seed ->
           Tme.Scenarios.run ra ~n:4 ~seed ~steps:9000
-            ~wrapper:(Tme.Scenarios.wrapped ~variant ~delta ())
+            ~wrapper:(Tme.Scenarios.wrapped_term ~term ~delta ())
             ~faults:(faults 800))
         seeds
     in
@@ -265,7 +265,7 @@ let t4 () =
     Pool.map ~jobs:!jobs
       (fun delta ->
         let clean, faulty, recovered, latency =
-          measure Graybox.Wrapper.Refined delta
+          measure Graybox.Wrapper.w_refined delta
         in
         [ (if delta = 0 then "W (refined)" else Printf.sprintf "W'(%d)" delta);
           Tabular.cell_float clean;
@@ -277,7 +277,7 @@ let t4 () =
   List.iter (Tabular.add_row table) rows;
   Tabular.add_sep table;
   let clean, faulty, recovered, latency =
-    measure Graybox.Wrapper.Unrefined 4
+    measure Graybox.Wrapper.w_unrefined 4
   in
   Tabular.add_row table
     [ "W'(4) unrefined (ablation)";
@@ -402,12 +402,12 @@ let t6 () =
           lspec
       in
       Tabular.add_row table
-        [ name;
-          (if safety_ok then "ok" else "VIOLATED");
-          (if liveness_ok then "ok" else "pending");
-          verdict_cell r (Graybox.Tme_spec.me1 r.vtrace);
-          verdict_cell r (Graybox.Tme_spec.me2 ~n:4 r.vtrace);
-          verdict_cell r (Graybox.Tme_spec.me3 r.entry_log) ])
+        ([ name;
+           (if safety_ok then "ok" else "VIOLATED");
+           (if liveness_ok then "ok" else "pending") ]
+        @ List.map
+            (fun (e : Unityspec.Report.entry) -> verdict_cell r e.verdict)
+            (Tme.Scenarios.tme_report r)))
     (List.filter (fun e -> e.Registry.lspec_monitorable) (Registry.all ()));
   Tabular.print
     ~title:
@@ -528,7 +528,7 @@ let t8 () =
 let t9 () =
   (* the ablation ladder names its rungs by experiment stage, not by
      registry name; the modules are referenced directly *)
-  let variants =
+  let rungs =
     [ ("m0 (original)", (module Tme.Lamport_unmodified : Graybox.Protocol.S));
       ("m1 (dedup insert)", (module Tme.Lamport_ablation.M1));
       ("m1+2 (<= head)", (module Tme.Lamport_ablation.M12));
@@ -536,7 +536,7 @@ let t9 () =
   in
   let table =
     Tabular.create
-      ("fault class (all with W'(4))" :: List.map fst variants)
+      ("fault class (all with W'(4))" :: List.map fst rungs)
   in
   let rows =
     Pool.map ~jobs:!jobs
@@ -550,7 +550,7 @@ let t9 () =
               in
               if recovered then Printf.sprintf "ok(%s)" (cell_opt_float latency)
               else "STUCK")
-            variants
+            rungs
         in
         fname :: cells)
       fault_classes
@@ -993,143 +993,6 @@ let mcheck_bench () =
   print_endline "wrote BENCH_mcheck.json"
 
 (* ------------------------------------------------------------------ *)
-(* observe: the streaming-observation benchmark (BENCH_observe.json)   *)
-
-let observe_bench () =
-  (* 1. Per-step cost and allocation of the two analysis paths on the
-     same faulty scenario.  Gc.allocated_bytes is per-domain, so both
-     measurements run serially in this domain regardless of --jobs. *)
-  let n = 4 and steps = 20_000 in
-  let scenario_rows =
-    let faults = Tme.Scenarios.burst ~at:2_000 in
-    let measure streaming =
-      let run () =
-        ignore
-          (Tme.Scenarios.run ra ~n ~seed:42 ~steps ~faults ~streaming
-             ~wrapper:(Tme.Scenarios.wrapped ~delta:4 ()))
-      in
-      run () (* warm-up *);
-      let a0 = Gc.allocated_bytes () in
-      let dt = wall run in
-      let bytes = Gc.allocated_bytes () -. a0 in
-      (float_of_int steps /. dt, bytes /. float_of_int steps)
-    in
-    List.map
-      (fun (label, streaming) ->
-        let sps, bps = measure streaming in
-        (label, sps, bps))
-      [ ("record+analyse", false); ("streaming", true) ]
-  in
-  let table =
-    Tabular.create
-      [ "ra+W'(4) analysis path"; "steps/sec"; "bytes alloc/step" ]
-  in
-  List.iter
-    (fun (label, sps, bps) ->
-      Tabular.add_row table
-        [ label;
-          Tabular.cell_float ~decimals:0 sps;
-          Tabular.cell_float ~decimals:0 bps ])
-    scenario_rows;
-  (match scenario_rows with
-   | [ (_, _, rec_bps); (_, _, str_bps) ] ->
-     Tabular.add_sep table;
-     Tabular.add_row table
-       [ "allocation ratio (record/streaming)";
-         Tabular.cell_float ~decimals:1 (rec_bps /. str_bps); "" ]
-   | _ -> ());
-  Tabular.print
-    ~title:
-      (Printf.sprintf
-         "OBSERVE: trace-then-analyse vs streaming observers (ra, n=%d, %d \
-          steps, burst fault)"
-         n steps)
-    table;
-  (* 2. Early exit on permanent deadlock: the streaming path stops at
-     quiescence, the recorded path always runs the full horizon. *)
-  let canary_horizon = 8_000 in
-  let canary_faults =
-    [ Tme.Scenarios.Drop_requests_window { from_t = 400; until_t = 460 } ]
-  in
-  let canary streaming =
-    Tme.Scenarios.run ra ~n ~seed:42 ~steps:canary_horizon
-      ~faults:canary_faults ~streaming
-  in
-  let c_rec = canary false and c_str = canary true in
-  if c_str.Tme.Scenarios.analysis <> c_rec.Tme.Scenarios.analysis then
-    failwith "observe bench: streaming and recorded analyses differ";
-  let ctable =
-    Tabular.create [ "deadlock canary"; "engine steps"; "horizon" ]
-  in
-  List.iter
-    (fun (label, r) ->
-      Tabular.add_row ctable
-        [ label;
-          string_of_int r.Tme.Scenarios.sim_steps;
-          string_of_int canary_horizon ])
-    [ ("record+analyse", c_rec); ("streaming (early exit)", c_str) ];
-  Tabular.print
-    ~title:
-      "OBSERVE: steps actually executed on a deadlocked run (identical \
-       analyses asserted)"
-    ctable;
-  (* 3. A real campaign sweep, recorded vs streaming, at --jobs. *)
-  let campaign streaming =
-    let cfg =
-      Chaos.Campaign.config ~base_seed:7 ~seeds:12 ~budget:4 ~n:3 ~steps:1500
-        ~delta:4 ~shrink:false ~jobs:!jobs ~streaming ()
-    in
-    wall (fun () -> ignore (Chaos.Campaign.run cfg))
-  in
-  let camp_rec = campaign false in
-  let camp_str = campaign true in
-  let wtable =
-    Tabular.create
-      [ Printf.sprintf "campaign (5 cells x 12 seeds, --jobs %d)" !jobs;
-        "wall-clock s"; "speedup" ]
-  in
-  Tabular.add_row wtable
-    [ "record+analyse"; Tabular.cell_float camp_rec; "1.0" ];
-  Tabular.add_row wtable
-    [ "streaming";
-      Tabular.cell_float camp_str;
-      Tabular.cell_float ~decimals:1 (camp_rec /. camp_str) ];
-  Tabular.print ~title:"OBSERVE: chaos-campaign wall-clock by analysis path"
-    wtable;
-  let json =
-    Chaos.Jsonx.(
-      Obj
-        [ ("schema", String "graybox-bench-observe/1");
-          ("scenario",
-           List
-             (List.map
-                (fun (label, sps, bps) ->
-                  Obj
-                    [ ("path", String label);
-                      ("n", Int n);
-                      ("steps", Int steps);
-                      ("steps_per_sec", Float sps);
-                      ("bytes_per_step", Float bps) ])
-                scenario_rows));
-          ("deadlock_canary",
-           Obj
-             [ ("horizon", Int canary_horizon);
-               ("recorded_steps", Int c_rec.Tme.Scenarios.sim_steps);
-               ("streaming_steps", Int c_str.Tme.Scenarios.sim_steps) ]);
-          ("campaign",
-           Obj
-             [ ("seeds", Int 12); ("budget", Int 4); ("n", Int 3);
-               ("steps", Int 1500); ("jobs", Int !jobs);
-               ("recorded_sec", Float camp_rec);
-               ("streaming_sec", Float camp_str);
-               ("speedup", Float (camp_rec /. camp_str)) ]) ])
-  in
-  Out_channel.with_open_text "BENCH_observe.json" (fun oc ->
-      output_string oc (Chaos.Jsonx.to_string json);
-      output_char oc '\n');
-  print_endline "wrote BENCH_observe.json"
-
-(* ------------------------------------------------------------------ *)
 (* partition: heal-recovery latency (BENCH_partition.json)             *)
 
 let partition_bench () =
@@ -1182,7 +1045,7 @@ let partition_bench () =
     let runs =
       List.map
         (fun seed ->
-          Tme.Scenarios.run e.Registry.proto ~n ~seed ~steps ~streaming:true
+          Tme.Scenarios.run e.Registry.proto ~n ~seed ~steps ~record:false
             ~tail_margin
             ~wrapper:(Tme.Scenarios.wrapped ~delta:e.Registry.default_delta ())
             ~faults)
@@ -1433,11 +1296,7 @@ let synth_bench () =
         let synth_rate =
           sends (Tme.Scenarios.wrapped_term ~term ~delta:4 ())
         in
-        let hand_rate =
-          sends
-            (Tme.Scenarios.wrapped ~variant:Graybox.Wrapper.Refined ~delta:4
-               ())
-        in
+        let hand_rate = sends (Tme.Scenarios.wrapped ~delta:4 ()) in
         Some (synth_rate, hand_rate)
     in
     (e, r, dt, overhead)
@@ -1547,8 +1406,7 @@ let synth_bench () =
 let all_tables =
   [ ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5); ("t6", t6);
     ("t7", t7); ("t8", t8); ("t9", t9); ("t10", t10); ("t11", t11);
-    ("perf", perf); ("mcheck", mcheck_bench); ("observe", observe_bench);
-    ("partition", partition_bench); ("load", load_bench);
+    ("perf", perf); ("mcheck", mcheck_bench); ("partition", partition_bench); ("load", load_bench);
     ("synth", synth_bench) ]
 
 let () =

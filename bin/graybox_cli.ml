@@ -110,9 +110,24 @@ let protocol_arg =
     & opt string (default_protocol ())
     & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
 
+(* Process counts are checked at the boundary: a count the libraries
+   would reject is a usage error (exit 124) naming the accepted range,
+   never an uncaught Invalid_argument from deep inside a run. *)
+let count_conv ?(max = max_int) ~min () =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= min && v <= max -> Ok v
+    | Some v when max = max_int ->
+      Error (`Msg (Printf.sprintf "need N >= %d, got %d" min v))
+    | Some v ->
+      Error (`Msg (Printf.sprintf "need %d <= N <= %d, got %d" min max v))
+    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let n_arg =
-  let doc = "Number of processes." in
-  Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc)
+  let doc = "Number of processes (at least 2)." in
+  Arg.(value & opt (count_conv ~min:2 ()) 4 & info [ "n" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed (equal seeds replay identical executions)." in
@@ -148,34 +163,24 @@ let resolve_entry name =
 let resolve_protocol name =
   Result.map (fun e -> e.Graybox.Registry.proto) (resolve_entry name)
 
-let streaming_arg =
-  let doc =
-    "Analyse the run online with engine observers instead of recording a \
-     trace (same results, less memory, early exit on permanent deadlock); \
-     $(docv)=false restores the record-then-analyse path."
-  in
-  Arg.(value & opt bool true & info [ "streaming" ] ~docv:"BOOL" ~doc)
-
 let wrapper_mode delta unrefined =
   match delta with
   | None -> Graybox.Harness.Off
-  | Some delta ->
-    let variant =
-      if unrefined then Graybox.Wrapper.Unrefined else Graybox.Wrapper.Refined
-    in
-    Tme.Scenarios.wrapped ~variant ~delta ()
+  | Some delta when unrefined ->
+    Tme.Scenarios.wrapped_term ~term:Graybox.Wrapper.w_unrefined ~delta ()
+  | Some delta -> Tme.Scenarios.wrapped ~delta ()
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 
 let run_cmd =
-  let action protocol n seed steps delta unrefined faults streaming =
+  let action protocol n seed steps delta unrefined faults =
     match resolve_protocol protocol with
     | Error e -> `Error (false, e)
     | Ok proto ->
       let r =
-        Tme.Scenarios.run proto ~n ~seed ~steps ~streaming
-          ~live_monitors:streaming
+        Tme.Scenarios.run proto ~n ~seed ~steps ~record:false
+          ~live_monitors:true
           ~wrapper:(wrapper_mode delta unrefined)
           ~faults:(List.concat faults)
       in
@@ -207,7 +212,7 @@ let run_cmd =
     Term.(
       ret
         (const action $ protocol_arg $ n_arg $ seed_arg $ steps_arg
-       $ wrapper_arg $ unrefined_arg $ faults_arg $ streaming_arg))
+       $ wrapper_arg $ unrefined_arg $ faults_arg))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a scenario and report stabilization")
@@ -217,7 +222,7 @@ let run_cmd =
 (* load                                                                *)
 
 let load_cmd =
-  let action protocol n seed rate requests max_steps scan =
+  let action protocol n seed rate requests max_steps =
     match resolve_protocol protocol with
     | Error e -> `Error (false, e)
     | Ok proto ->
@@ -232,7 +237,7 @@ let load_cmd =
       in
       let t0 = Unix.gettimeofday () in
       let r =
-        Tme.Load.run ~indexed:(not scan) proto ~n ~seed ~rate
+        Tme.Load.run proto ~n ~seed ~rate
           ~max_requests:requests ~max_steps ()
       in
       let dt = Unix.gettimeofday () -. t0 in
@@ -258,8 +263,8 @@ let load_cmd =
       `Ok (if r.Tme.Load.grants = r.Tme.Load.requests then 0 else 1)
   in
   let n_arg =
-    let doc = "Number of processes." in
-    Arg.(value & opt int 100 & info [ "n" ] ~docv:"N" ~doc)
+    let doc = "Number of processes (at least 1)." in
+    Arg.(value & opt (count_conv ~min:1 ()) 100 & info [ "n" ] ~docv:"N" ~doc)
   in
   let rate_arg =
     let doc =
@@ -280,18 +285,11 @@ let load_cmd =
     let doc = "Step horizon (default (5*R+400)*n)." in
     Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"STEPS" ~doc)
   in
-  let scan_arg =
-    let doc =
-      "Use the scanning scheduler instead of the indexed one (results are \
-       identical; only speed differs)."
-    in
-    Arg.(value & flag & info [ "scan" ] ~doc)
-  in
   let term =
     Term.(
       ret
         (const action $ protocol_arg $ n_arg $ seed_arg $ rate_arg
-       $ requests_arg $ max_steps_arg $ scan_arg))
+       $ requests_arg $ max_steps_arg))
   in
   Cmd.v
     (Cmd.info "load"
@@ -440,11 +438,11 @@ let kstate_cmd =
 
 let synth_cmd =
   let sy_n_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt (count_conv ~min:2 ()) 2
          & info [ "n" ] ~docv:"N"
              ~doc:
-               "Ring size the oracle certifies candidates at (keep small: \
-                each check is an exhaustive exploration).")
+               "Ring size the oracle certifies candidates at, at least 2 \
+                (keep small: each check is an exhaustive exploration).")
   in
   let jobs_arg =
     Arg.(value & opt int 1
@@ -623,8 +621,8 @@ let mcheck_cmd =
     Arg.(value & opt int 20 & info [ "depth" ] ~docv:"D" ~doc:"BFS depth bound.")
   in
   let mc_n_arg =
-    Arg.(value & opt int 2 & info [ "n" ] ~docv:"N"
-           ~doc:"Number of processes (keep small: exhaustive search).")
+    Arg.(value & opt (count_conv ~min:1 ~max:64 ()) 2 & info [ "n" ] ~docv:"N"
+           ~doc:"Number of processes, 1-64 (keep small: exhaustive search).")
   in
   let jobs_arg =
     Arg.(value & opt int 1
@@ -654,11 +652,11 @@ let mcheck_cmd =
                 out-of-core.  Default: unlimited (never spill).")
   in
   let spill_dir_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some dir) None
          & info [ "spill-dir" ] ~docv:"DIR"
              ~doc:
-               "Directory for spill files (default: the system temp \
-                dir).  Files are removed when the search finishes.")
+               "Existing directory for spill files (default: the system \
+                temp dir).  Files are removed when the search finishes.")
   in
   let por_arg =
     Arg.(value & flag
@@ -920,7 +918,7 @@ let chaos_cmd =
              partition expectation.")
   in
   let action seed seeds budget n steps delta protocols json no_unwrapped
-      no_canary no_shrink jobs streaming partitions =
+      no_canary no_shrink jobs partitions =
     let jobs = Option.value jobs ~default:(Stdext.Pool.default_jobs ()) in
     if jobs < 1 then
       `Error (false, Printf.sprintf "--jobs: need at least 1 worker, got %d" jobs)
@@ -929,7 +927,7 @@ let chaos_cmd =
         Chaos.Campaign.config ~base_seed:seed ~seeds ~budget ~n ~steps ~delta
           ~protocols ~include_unwrapped:(not no_unwrapped)
           ~deadlock_canary:(not no_canary) ~shrink:(not no_shrink) ~jobs
-          ~streaming ~partitions ()
+          ~partitions ()
       in
       let report = Chaos.Campaign.run cfg in
       Stdext.Tabular.print
@@ -972,7 +970,7 @@ let chaos_cmd =
         (const action $ seed_arg $ seeds_arg $ budget_arg $ n_arg
        $ chaos_steps_arg $ delta_arg $ protocols_arg $ json_arg
        $ no_unwrapped_arg $ no_canary_arg $ no_shrink_arg $ jobs_arg
-       $ streaming_arg $ partitions_arg))
+       $ partitions_arg))
   in
   Cmd.v
     (Cmd.info "chaos"

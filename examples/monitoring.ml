@@ -22,7 +22,7 @@ let me1_monitor =
 let () =
   let params =
     Graybox.Harness.params
-      ~wrapper:(Graybox.Harness.On { variant = Graybox.Wrapper.Refined; delta = 4 })
+      ~wrapper:(Tme.Scenarios.wrapped ~delta:4 ())
       ~n:4 ()
   in
   let engine = H.make_engine ~record:false params ~seed:12 in

@@ -26,7 +26,6 @@ type config = {
   shrink_max_runs : int;
   max_counterexamples : int;
   jobs : int;
-  streaming : bool;
   partitions : bool;
 }
 
@@ -38,15 +37,14 @@ let default_protocols = Registry.default_sweep ()
 let config ?(base_seed = 1) ?(seeds = 50) ?(budget = 6) ?(n = 4) ?(steps = 4000)
     ?(delta = 8) ?(protocols = default_protocols) ?(include_unwrapped = true)
     ?(deadlock_canary = true) ?(shrink = true) ?(shrink_max_runs = 300)
-    ?(max_counterexamples = 3) ?(jobs = 1) ?(streaming = true)
-    ?(partitions = false) () =
+    ?(max_counterexamples = 3) ?(jobs = 1) ?(partitions = false) () =
   if seeds <= 0 then invalid_arg "Campaign.config: need seeds > 0";
   if steps < 100 then invalid_arg "Campaign.config: need steps >= 100";
   if protocols = [] then invalid_arg "Campaign.config: need a protocol";
   if jobs < 1 then invalid_arg "Campaign.config: need jobs >= 1";
   { base_seed; seeds; budget; n; steps; delta; protocols; include_unwrapped;
     deadlock_canary; shrink; shrink_max_runs; max_counterexamples; jobs;
-    streaming; partitions }
+    partitions }
 
 (* Protocols that are not everywhere-implementations of Lspec: the
    wrapper is not expected to rescue them (the paper's negative
@@ -149,7 +147,7 @@ let split_plans cfg ~mode =
 
 let run_row ~cfg ~proto ~wrapper ~want_epoch (seed, plan) =
   let r =
-    S.run proto ~wrapper ~faults:plan ~streaming:cfg.streaming ~n:cfg.n ~seed
+    S.run proto ~wrapper ~faults:plan ~record:false ~n:cfg.n ~seed
       ~steps:cfg.steps
   in
   { row_seed = seed;

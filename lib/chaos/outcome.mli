@@ -1,6 +1,6 @@
 (** Outcome classification of a chaos run.
 
-    {!Graybox.Stabilize.analyse} already answers "did the trace converge
+    {!Graybox.Stabilize.analysis} already answers "did the run converge
     to a legitimate suffix"; a campaign additionally wants to know {e
     how} a run failed, so every run is bucketed into one of five
     verdicts. *)

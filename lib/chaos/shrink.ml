@@ -9,11 +9,11 @@ type scenario = {
   steps : int;
 }
 
-(* Streaming analysis: classification is all we need, and deadlocked
-   candidates — the common case while shrinking — exit early. *)
+(* No trace: classification is all we need, and deadlocked candidates
+   — the common case while shrinking — exit early. *)
 let verdict sc plan =
   let r =
-    S.run sc.proto ~wrapper:sc.wrapper ~faults:plan ~streaming:true ~n:sc.n
+    S.run sc.proto ~wrapper:sc.wrapper ~faults:plan ~record:false ~n:sc.n
       ~seed:sc.seed ~steps:sc.steps
   in
   Outcome.classify ~n:sc.n r.analysis

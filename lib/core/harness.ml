@@ -20,11 +20,9 @@ open Clocks
 
 type wrapper_mode =
   | Off
-  | On of { variant : Wrapper.variant; delta : int }
-      (** [delta = 0] is the paper's [W]; [delta > 0] is [W'(δ)]. *)
-  | On_term of { term : Wrapper.t; delta : int }
-      (** an arbitrary DSL term (e.g. a synthesized wrapper) under the
-          same [δ]-timer harness discipline *)
+  | On of { term : Wrapper.t; delta : int }
+      (** [term] under the [δ]-timer: [delta = 0] is the paper's [W],
+          [delta > 0] is [W'(δ)] *)
 
 type params = {
   n : int;
@@ -52,7 +50,7 @@ let params ?(wrapper = Off) ?(think_min = 2) ?(think_max = 8) ?(eat_min = 1)
 
 (** One CS entry, as recorded by the oracle for the FCFS monitor. *)
 type entry_record = {
-  entry_time : int;  (** engine time (filled in by trace analysis) *)
+  entry_time : int;  (** engine time of the entry step *)
   entry_pid : Sim.Pid.t;
   entry_req : Timestamp.t;  (** the request this entry served *)
   entry_req_vc : Vector_clock.t;  (** causal stamp of that request *)
@@ -166,14 +164,10 @@ module Make (P : Protocol.S) = struct
          fun node ->
            match node.params.wrapper with
            | Off -> (node, []) (* unreachable: guarded by [wrapper_actions] *)
-           | On { variant; delta } ->
-             let v = view node in
-             let sends = Wrapper.fire variant v ~n:node.params.n in
-             let node = { node with timer = delta } in
-             (node, wrap_sends node sends)
-           | On_term { term; delta } ->
-             let v = view node in
-             let sends = Wrapper.eval term v ~n:node.params.n ~timer:node.timer in
+           | On { term; delta } ->
+             let sends =
+               Wrapper.eval term (view node) ~n:node.params.n ~timer:0
+             in
              let node = { node with timer = delta } in
              (node, wrap_sends node sends)) ]
 
@@ -192,18 +186,16 @@ module Make (P : Protocol.S) = struct
     let wrapper_actions v node =
       match node.params.wrapper with
       | Off -> []
-      | On { variant; delta } ->
-        if not (View.hungry v) then []
+      | On { term; delta } ->
+        (* W'(δ)'s rule, lifted to the term's guard (evaluated as if the
+           timer had expired): while the guard holds, the timer counts
+           down, and at zero the wrapper fires — except that the
+           untimed W (δ = 0) with nobody to correct would fire forever
+           without effect *)
+        let n = node.params.n in
+        if not (Wrapper.enabled term v ~n) then []
         else if node.timer > 0 then act_wrapper_tick
-        else
-          let sends = Wrapper.fire variant v ~n:node.params.n in
-          if sends = [] && delta = 0 then [] else act_wrapper_fire
-      | On_term { term; _ } ->
-        (* the term's own guard (evaluated as if the timer had expired)
-           is the enablement; the harness timer then rate-limits actual
-           firing exactly as for the hand-written W'(δ) *)
-        if Wrapper.eval term v ~n:node.params.n ~timer:0 = [] then []
-        else if node.timer > 0 then act_wrapper_tick
+        else if delta = 0 && Wrapper.eval term v ~n ~timer:0 = [] then []
         else act_wrapper_fire
 
     let actions ~self:_ node =
@@ -215,8 +207,8 @@ module Make (P : Protocol.S) = struct
 
   module Run = Sim.Engine.Make (Node)
 
-  let make_engine ?(record = true) ?indexed ?deliver_weight params ~seed =
-    let cfg = Run.config ?deliver_weight ?indexed ~record ~n:params.n ~seed () in
+  let make_engine ?(record = true) ?deliver_weight params ~seed =
+    let cfg = Run.config ?deliver_weight ~record ~n:params.n ~seed () in
     Run.create cfg ~init:(init params ~client_seed:(seed * 31 + 17))
 
   let view_trace engine =
@@ -225,27 +217,6 @@ module Make (P : Protocol.S) = struct
     |> Sim.Trace.map_msgs (fun e -> e.payload)
 
   let views engine = Array.map view (Run.states engine)
-
-  (** Entry records in trace order, for the FCFS (ME3) oracle. *)
-  let entry_log engine =
-    let snaps = Run.trace engine in
-    let rec go acc = function
-      | prev :: (next :: _ as rest) ->
-        let acc =
-          match next.Sim.Trace.event with
-          | Sim.Trace.Internal { pid; label = "enter-cs" } ->
-            let before = prev.Sim.Trace.states.(pid) in
-            { entry_time = next.Sim.Trace.time;
-              entry_pid = pid;
-              entry_req = (view before).View.req;
-              entry_req_vc = before.req_vc }
-            :: acc
-          | _ -> acc
-        in
-        go acc rest
-      | [] | [ _ ] -> List.rev acc
-    in
-    go [] snaps
 
   let total_entries engine =
     Array.fold_left (fun acc node -> acc + node.entries) 0 (Run.states engine)
@@ -257,7 +228,7 @@ module Make (P : Protocol.S) = struct
     let timer =
       match node.params.wrapper with
       | Off -> node.timer
-      | On { delta; _ } | On_term { delta; _ } -> Rng.int rng (delta + 1)
+      | On { delta; _ } -> Rng.int rng (delta + 1)
     in
     { node with proto; timer }
 

@@ -17,14 +17,15 @@
 
 type wrapper_mode =
   | Off
-  | On of { variant : Wrapper.variant; delta : int }
-      (** [delta = 0] is the paper's [W]; [delta > 0] is [W'(δ)]. *)
-  | On_term of { term : Wrapper.t; delta : int }
-      (** an arbitrary DSL term (e.g. a synthesized wrapper) under the
-          same [δ]-timer harness discipline: the term's guard
-          (evaluated as if the timer had expired) enables the wrapper
-          action, the timer rate-limits actual firing, and firing
-          resets it to [delta] *)
+  | On of { term : Wrapper.t; delta : int }
+      (** a wrapper term — hand-written ({!Wrapper.w_refined}) or
+          synthesized — under the [δ]-timer: [delta = 0] is the
+          paper's [W], [delta > 0] is [W'(δ)].  One rule for every
+          term: while the term's guard holds (evaluated as if the timer
+          had expired, {!Wrapper.enabled}), the enabled wrapper action
+          is a timer tick when [timer > 0], and otherwise firing —
+          send the term's list and reset the timer to [delta] — unless
+          the list is empty and [delta = 0]. *)
 
 type params = {
   n : int;
@@ -87,12 +88,8 @@ module Make (P : Protocol.S) : sig
 
   module Run : module type of Sim.Engine.Make (Node)
 
-  val make_engine : ?record:bool -> ?indexed:bool -> ?deliver_weight:int ->
-    params -> seed:int -> Run.t
-  (** [?indexed] selects the engine's move-index implementation (see
-      {!Sim.Engine.Make.config}); the default maintains O(log n)
-      incremental indexes, [~indexed:false] keeps the scanning
-      scheduler.  Schedules are bit-identical either way. *)
+  val make_engine : ?record:bool -> ?deliver_weight:int -> params -> seed:int ->
+    Run.t
 
   val view_trace : Run.t -> (View.t, Msg.t) Sim.Trace.t
   (** The recorded trace projected to spec level: views and bare
@@ -100,9 +97,6 @@ module Make (P : Protocol.S) : sig
 
   val views : Run.t -> View.t array
   (** Current views of all processes. *)
-
-  val entry_log : Run.t -> entry_record list
-  (** Oracle CS-entry records in trace order (for {!Tme_spec.me3}). *)
 
   val total_entries : Run.t -> int
 

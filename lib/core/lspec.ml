@@ -3,6 +3,17 @@ open Unityspec
 
 type vtrace = (View.t, Msg.t) Sim.Trace.t
 
+(* Every clause is an {!Online} monitor over snapshots, folded over a
+   recorded trace. *)
+let forall n f = Online.all (List.init n f)
+
+let forall_pairs n f =
+  forall n (fun j ->
+      Online.all
+        (List.filter_map
+           (fun k -> if j <> k then Some (f j k) else None)
+           (List.init n Fun.id)))
+
 let views (snap : (View.t, Msg.t) Sim.Trace.snapshot) = snap.states
 
 let view_of snap j = (views snap).(j)
@@ -25,24 +36,19 @@ let is_fault_step (snap : (View.t, Msg.t) Sim.Trace.snapshot) =
 
 (* A step-invariant that is exempted across fault transitions: faults
    teleport the state, which no clause of Lspec constrains. *)
-let guarded_step_invariant ?name r tr =
-  Temporal.step_invariant ?name
-    (fun prev next -> is_fault_step next || r prev next)
-    tr
+let guarded_step_invariant ?name r =
+  Online.step_invariant ?name (fun prev next -> is_fault_step next || r prev next)
 
-let structural ~n tr =
-  Temporal.forall
-    (fun j ->
-      Temporal.invariant ~name:(Printf.sprintf "structural.%d" j)
-        (fun snap ->
+let structural ~n =
+  Online.run @@
+  forall n (fun j ->
+      Online.invariant ~name:(Printf.sprintf "structural.%d" j) (fun snap ->
           match mode snap j with
-          | View.Thinking | View.Hungry | View.Eating -> true)
-        tr)
-    n
+          | View.Thinking | View.Hungry | View.Eating -> true))
 
-let flow ~n tr =
-  Temporal.forall
-    (fun j ->
+let flow ~n =
+  Online.run @@
+  forall n (fun j ->
       guarded_step_invariant ~name:(Printf.sprintf "flow.%d" j)
         (fun prev next ->
           match mode prev j, mode next j with
@@ -51,28 +57,22 @@ let flow ~n tr =
           | View.Eating, (View.Eating | View.Thinking) -> true
           | View.Thinking, View.Eating
           | View.Hungry, View.Thinking
-          | View.Eating, View.Hungry -> false)
-        tr)
-    n
+          | View.Eating, View.Hungry -> false))
 
-let cs ~n tr =
-  Temporal.forall
-    (fun j ->
-      Temporal.leads_to ~name:(Printf.sprintf "cs.%d" j)
-        ~p:(fun snap -> mode snap j = View.Eating)
-        ~q:(fun snap -> mode snap j <> View.Eating)
-        tr)
-    n
+let cs ~n =
+  Online.run @@
+  forall n (fun j ->
+      Online.leads_to ~name:(Printf.sprintf "cs.%d" j)
+        (fun snap -> mode snap j = View.Eating)
+        (fun snap -> mode snap j <> View.Eating))
 
-let request_safety ~n tr =
-  Temporal.forall
-    (fun j ->
+let request_safety ~n =
+  Online.run @@
+  forall n (fun j ->
       guarded_step_invariant ~name:(Printf.sprintf "request-safety.%d" j)
         (fun prev next ->
           (not (mode prev j = View.Hungry && mode next j = View.Hungry))
-          || Timestamp.equal (req prev j) (req next j))
-        tr)
-    n
+          || Timestamp.equal (req prev j) (req next j)))
 
 (* k "has heard" REQ_j when its copy is not behind j's request. *)
 let heard snap ~j ~k = not (Timestamp.lt (local snap k j) (req snap j))
@@ -84,24 +84,22 @@ let request_in_flight snap ~j ~k =
       | Msg.Reply _ | Msg.Release _ -> false)
     (channel snap ~src:j ~dst:k)
 
-let request_liveness ~n tr =
-  Temporal.forall_pairs
-    (fun j k ->
+let request_liveness ~n =
+  Online.run @@
+  forall_pairs n (fun j k ->
       let unaware snap =
         mode snap j = View.Hungry
         && (not (heard snap ~j ~k))
         && not (request_in_flight snap ~j ~k)
       in
-      Temporal.leads_to
+      Online.leads_to
         ~name:(Printf.sprintf "request-liveness.%d.%d" j k)
-        ~p:unaware
-        ~q:(fun snap -> not (unaware snap))
-        tr)
-    n
+        unaware
+        (fun snap -> not (unaware snap)))
 
-let reply_liveness ~n tr =
-  Temporal.forall_pairs
-    (fun j k ->
+let reply_liveness ~n =
+  Online.run @@
+  forall_pairs n (fun j k ->
       (* j knows k's current, earlier request: k should progress. *)
       let blocked snap =
         mode snap j = View.Hungry
@@ -109,72 +107,57 @@ let reply_liveness ~n tr =
         && Timestamp.equal (local snap j k) (req snap k)
         && Timestamp.lt (req snap k) (req snap j)
       in
-      Temporal.leads_to
+      Online.leads_to
         ~name:(Printf.sprintf "reply-liveness.%d.%d" j k)
-        ~p:blocked
-        ~q:(fun snap -> mode snap k <> View.Hungry)
-        tr)
-    n
+        blocked
+        (fun snap -> mode snap k <> View.Hungry))
 
 let earliest snap j ~n =
   View.earliest (view_of snap j) ~peers:(Sim.Pid.others ~self:j ~n)
 
-let cs_entry_safety ~n tr =
-  Temporal.forall
-    (fun j ->
+let cs_entry_safety ~n =
+  Online.run @@
+  forall n (fun j ->
       guarded_step_invariant ~name:(Printf.sprintf "cs-entry-safety.%d" j)
         (fun prev next ->
           (not (mode prev j <> View.Eating && mode next j = View.Eating))
-          || earliest prev j ~n)
-        tr)
-    n
+          || earliest prev j ~n))
 
-let cs_entry_liveness ~n tr =
-  Temporal.forall
-    (fun j ->
-      Temporal.leads_to ~name:(Printf.sprintf "cs-entry-liveness.%d" j)
-        ~p:(fun snap -> mode snap j = View.Hungry && earliest snap j ~n)
-        ~q:(fun snap -> mode snap j = View.Eating)
-        tr)
-    n
+let cs_entry_liveness ~n =
+  Online.run @@
+  forall n (fun j ->
+      Online.leads_to ~name:(Printf.sprintf "cs-entry-liveness.%d" j)
+        (fun snap -> mode snap j = View.Hungry && earliest snap j ~n)
+        (fun snap -> mode snap j = View.Eating))
 
-let cs_release ~n tr =
-  Temporal.forall
-    (fun j ->
-      Temporal.invariant ~name:(Printf.sprintf "cs-release.%d" j)
-        (fun snap ->
+let cs_release ~n =
+  Online.run @@
+  forall n (fun j ->
+      Online.invariant ~name:(Printf.sprintf "cs-release.%d" j) (fun snap ->
           mode snap j <> View.Thinking
           ||
           let v = view_of snap j in
-          Timestamp.equal v.View.req
-            (Timestamp.make ~clock:v.View.clock ~pid:j))
-        tr)
-    n
+          Timestamp.equal v.View.req (Timestamp.make ~clock:v.View.clock ~pid:j)))
 
-let timestamp_spec ~n tr =
+let timestamp_spec ~n =
   let monotone =
-    Temporal.forall
-      (fun j ->
+    forall n (fun j ->
         guarded_step_invariant ~name:(Printf.sprintf "clock-monotone.%d" j)
           (fun prev next ->
-            (view_of prev j).View.clock <= (view_of next j).View.clock)
-          tr)
-      n
+            (view_of prev j).View.clock <= (view_of next j).View.clock))
   in
   let receive_rule =
-    Temporal.step_invariant ~name:"clock-receive-rule"
-      (fun _prev next ->
+    Online.step_invariant ~name:"clock-receive-rule" (fun _prev next ->
         match next.Sim.Trace.event with
         | Sim.Trace.Deliver { dst; msg; _ } ->
           (view_of next dst).View.clock >= (Msg.timestamp msg).Timestamp.clock
         | _ -> true)
-      tr
   in
-  Temporal.both monotone receive_rule
+  Online.run (Online.all [ monotone; receive_rule ])
 
 (* FIFO check: on a Deliver over channel c, c loses its head and may
    gain appends; every other evolution may only append. *)
-let communication_fifo ~n:_ tr =
+let communication_fifo ~n:_ =
   let prefix_of xs ys =
     let rec go xs ys =
       match xs, ys with
@@ -184,8 +167,8 @@ let communication_fifo ~n:_ tr =
     in
     go xs ys
   in
-  Temporal.step_invariant ~name:"communication-fifo"
-    (fun prev next ->
+  Online.run
+  @@ Online.step_invariant ~name:"communication-fifo" (fun prev next ->
       is_fault_step next
       ||
       let delivered_chan =
@@ -208,12 +191,10 @@ let communication_fifo ~n:_ tr =
             | _ :: tl -> prefix_of tl after
           else prefix_of before after)
         chans)
-    tr
 
-let init_spec ~n tr =
-  match tr with
-  | [] -> Temporal.Holds
-  | first :: _ ->
+(* Init constrains the first snapshot only; its verdict then stands. *)
+let init_spec ~n =
+  let check first =
     let ok =
       Sim.Trace.channels first = []
       && List.for_all
@@ -234,6 +215,14 @@ let init_spec ~n tr =
     in
     if ok then Temporal.Holds
     else Temporal.Violated { at = 0; reason = "Init conditions fail" }
+  in
+  Online.run @@ Online.stateful ~init:None ~step:(fun checked snap ->
+      match checked with
+      | Some v -> (checked, v)
+      | None ->
+        let v = check snap in
+        (Some v, v))
+
 
 let clause_names =
   [ "structural"; "flow"; "cs"; "request-safety"; "request-liveness";

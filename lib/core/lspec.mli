@@ -1,8 +1,9 @@
 (** Executable monitors for Lspec (paper §3.2).
 
-    Each function checks one clause of the local everywhere
-    specification over a recorded view-level trace
-    ([(View.t, Msg.t) Sim.Trace.t]).  Safety clauses are checked
+    Each clause of the local everywhere specification is a
+    {!Unityspec.Online} monitor; each function below folds one over a
+    recorded view-level trace ([(View.t, Msg.t) Sim.Trace.t]).  Safety
+    clauses are checked
     exactly; the [eventually send …] obligations are checked in their
     observable form — the inconsistency the send is meant to resolve
     must be transient.

@@ -116,9 +116,9 @@ type entry = {
           ([lspec_monitorable]) *)
   wrapper_term : Wrapper.t option;
       (** for [Synthesized] entries: the wrapper-DSL term this entry
-          is run under — scenarios and the campaign use
-          [On_term {term; delta}] instead of the hand-written variant
-          wherever this is [Some] *)
+          is run under — scenarios and the campaign compose
+          [On {term; delta}] with it in place of the hand-written
+          [w_refined] wherever this is [Some] *)
   sweep_rank : int option;
       (** position in the default chaos sweep ([None] = not swept by
           default); {!default_sweep} orders by rank *)

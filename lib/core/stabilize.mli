@@ -2,7 +2,7 @@
 
     "C is stabilizing to A iff every computation of C has a suffix
     that is a suffix of some computation of A that starts at an
-    initial state of A."  Over a recorded trace we judge the suffix
+    initial state of A."  Over the snapshots of a run we judge the suffix
     behaviourally: from the convergence point onward, mutual exclusion
     is never violated, every hungry process is served, and every eater
     releases.  Obligations still open within [tail_margin] snapshots
@@ -30,23 +30,15 @@ type analysis = {
       (** [converged_index] exists — the headline verdict *)
 }
 
-val analyse : ?tail_margin:int -> vtrace -> analysis
-(** [analyse ?tail_margin tr] computes the analysis.  [tail_margin]
-    defaults to 300 snapshots. *)
-
-(** Streaming analysis: the incremental restatement of {!analyse} and
-    {!service_round_latency}, fed one view snapshot at a time so a run
-    needs no recorded trace (O(n) state instead of O(steps × n)).  On
-    the same snapshot sequence, {!Online.analysis} equals {!analyse}
-    and {!Online.latency} equals {!service_round_latency} at
-    [after = last fault index (or 0)] — field for field; the test
-    suite asserts this across the protocol × wrapper × seed grid. *)
+(** The analysis as a fold, fed one view snapshot at a time while the
+    engine runs (O(n) state, no recorded trace); a recorded trace is
+    analysed by folding the same accumulator over it ({!Online.of_trace}). *)
 module Online : sig
   type t
   (** Mutable accumulator — create one per run. *)
 
   val create : ?tail_margin:int -> unit -> t
-  (** Same [tail_margin] default (300) as {!analyse}. *)
+  (** [tail_margin] defaults to 300 snapshots. *)
 
   val feed : t -> time:int -> fault:bool -> View.t array -> unit
   (** [feed t ~time ~fault views] consumes the next snapshot: its
@@ -57,32 +49,21 @@ module Online : sig
   (** The analysis of the snapshots fed so far. *)
 
   val latency : t -> int option
-  (** {!service_round_latency} measured from the last fault fed (or
-      the start), maintained incrementally. *)
+  (** The service-round latency: simulated steps from the last fault
+      fed (or the first snapshot) until every process has completed at
+      least one fresh critical-section entry after it — a recovery
+      measure that needs every process live again, so it scales with
+      contention and ring size.  [None] while some process has not
+      re-entered. *)
 
   val of_trace : ?tail_margin:int -> vtrace -> t
-  (** Fold a recorded trace — the equivalence bridge used in tests. *)
+  (** Fold a recorded trace. *)
 end
 
 val pp : Format.formatter -> analysis -> unit
-
-val service_round_latency : vtrace -> after:int -> int option
-(** [service_round_latency tr ~after] is the number of simulated steps
-    from snapshot index [after] until every process has completed at
-    least one critical-section entry strictly after [after] — a
-    recovery-latency measure that requires every process to be live
-    again, so it scales with contention and ring size.  [None] if some
-    process never re-enters within the trace. *)
 
 val service_times : ?after:int -> vtrace -> int list
 (** [service_times ?after tr] lists the duration (in simulated steps)
     of every completed hungry-to-eating interval that starts at or
     after snapshot index [after] (default 0) — the per-request service
     latencies, for percentile reporting. *)
-
-val time_to_quiescent_consistency : vtrace -> after:int -> int option
-(** [time_to_quiescent_consistency tr ~after] is the number of steps
-    from [after] to the first subsequent snapshot at which no process
-    is eating together with another (ME1 holds) and every hungry
-    process's request is known to all peers — a cheap spot check of
-    restored mutual consistency.  [None] if never reached. *)

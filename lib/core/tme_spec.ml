@@ -3,64 +3,16 @@ open Clocks
 
 type vtrace = (View.t, Msg.t) Sim.Trace.t
 
-let eaters (snap : (View.t, Msg.t) Sim.Trace.snapshot) =
-  Array.fold_left
-    (fun acc v -> if View.eating v then acc + 1 else acc)
-    0 snap.states
-
-let me1 tr =
-  Temporal.invariant ~name:"ME1" (fun snap -> eaters snap <= 1) tr
-
-let me1_violations tr =
-  List.fold_left (fun acc snap -> if eaters snap > 1 then acc + 1 else acc) 0 tr
-
-let me2 ~n tr =
-  Temporal.forall
-    (fun j ->
-      Temporal.leads_to ~name:(Printf.sprintf "ME2.%d" j)
-        ~p:(fun snap -> View.hungry snap.Sim.Trace.states.(j))
-        ~q:(fun snap -> View.eating snap.Sim.Trace.states.(j))
-        tr)
-    n
-
-let me3 entries =
-  (* Entries are in trace order; an entry whose request causally
-     preceded an *earlier* entry's request violates FCFS. *)
-  let rec scan idx earlier = function
-    | [] -> Temporal.Holds
-    | (e : Harness.entry_record) :: rest ->
-      let bad =
-        List.exists
-          (fun (prev : Harness.entry_record) ->
-            Vector_clock.lt e.entry_req_vc prev.entry_req_vc)
-          earlier
-      in
-      if bad then
-        Temporal.Violated
-          { at = idx;
-            reason =
-              Printf.sprintf
-                "entry %d by process %d served a request that \
-                 happened-before an already-served one"
-                idx e.entry_pid }
-      else scan (idx + 1) (e :: earlier) rest
-  in
-  scan 0 [] entries
-
 let report_of_verdicts ~me1 ~me2 ~me3 =
   Report.of_list
     [ ("ME1 (mutual exclusion)", me1);
       ("ME2 (starvation freedom)", me2);
       ("ME3 (FCFS)", me3) ]
 
-let check_all ~n ~entries tr =
-  report_of_verdicts ~me1:(me1 tr) ~me2:(me2 ~n tr) ~me3:(me3 entries)
-
 (* ------------------------------------------------------------------ *)
-(* Online monitors: the same three clauses as incremental folds over
-   view arrays (ME1, ME2) and the oracle entry stream (ME3), with the
-   same verdicts — index for index, reason for reason — as the offline
-   operators above on the corresponding prefix. *)
+(* The three clauses as incremental monitors: folds over view arrays
+   (ME1, ME2) and the oracle entry stream (ME3).  A recorded trace is
+   checked by folding the same monitors over it ([check_all]). *)
 
 let eaters_of views =
   Array.fold_left (fun acc v -> if View.eating v then acc + 1 else acc) 0 views
@@ -293,26 +245,6 @@ module Epoch = struct
     safe r && Temporal.is_ok r.me3
     && Temporal.ok_with_tail ~trace_len:r.snapshots ~margin r.me2
 
-  let of_trace ~timeline ~n ~entries (tr : vtrace) =
-    let m = create ~n ~timeline in
-    let remaining = ref entries in
-    List.iter
-      (fun (snap : (View.t, Msg.t) Sim.Trace.snapshot) ->
-        (match snap.event with
-         | Sim.Trace.Internal { label = "enter-cs"; _ } -> (
-           (* the oracle logged one entry for this event; feed it
-              before the post-event snapshot, as the streaming path
-              does *)
-           match !remaining with
-           | e :: rest ->
-             feed_entry m ~time:snap.time e;
-             remaining := rest
-           | [] -> ())
-         | _ -> ());
-        feed m ~time:snap.time snap.states)
-      tr;
-    report m
-
   let pp_row ppf row =
     let phase =
       match row.topo.Sim.Regime.phase with
@@ -353,3 +285,10 @@ let me3_online () =
         else Temporal.Holds
       in
       ((idx + 1, e :: earlier), verdict))
+
+let check_all ~n ~entries (tr : vtrace) =
+  let views = List.map (fun (snap : _ Sim.Trace.snapshot) -> snap.states) tr in
+  report_of_verdicts
+    ~me1:(Online.run (me1_online ()) views)
+    ~me2:(Online.run (me2_online ~n) views)
+    ~me3:(Online.run (me3_online ()) entries)

@@ -10,45 +10,35 @@
 
 type vtrace = (View.t, Msg.t) Sim.Trace.t
 
-val me1 : vtrace -> Unityspec.Temporal.verdict
+(** {2 Monitors}
+
+    Each clause is an incremental {!Unityspec.Online} monitor.  ME1
+    and ME2 consume the per-snapshot view array (one feed per
+    snapshot, in order); ME3 consumes the oracle entry stream.  A
+    scenario feeds them while the engine runs; {!check_all} folds them
+    over a recorded trace. *)
+
+val me1_online : unit -> View.t array Unityspec.Online.t
 (** [(∀j,k :: e.j ∧ e.k ⇒ j = k)]: at most one process eats. *)
 
-val me1_violations : vtrace -> int
-(** Number of snapshots with two or more eaters (for recovery
-    accounting rather than a verdict). *)
-
-val me2 : n:int -> vtrace -> Unityspec.Temporal.verdict
+val me2_online : n:int -> View.t array Unityspec.Online.t
 (** [(∀j :: h.j ↝ e.j)]: every hungry process eventually eats. *)
 
-val me3 : Harness.entry_record list -> Unityspec.Temporal.verdict
+val me3_online : unit -> Harness.entry_record Unityspec.Online.t
 (** FCFS over the oracle entry log: if [a]'s request happened-before
     [b]'s request (exact, via oracle vector clocks), then [a]'s entry
-    precedes [b]'s in the trace.  The log must be in trace order. *)
-
-val check_all :
-  n:int -> entries:Harness.entry_record list -> vtrace -> Unityspec.Report.t
+    precedes [b]'s.  Entries must be fed in trace order. *)
 
 val report_of_verdicts :
   me1:Unityspec.Temporal.verdict ->
   me2:Unityspec.Temporal.verdict ->
   me3:Unityspec.Temporal.verdict -> Unityspec.Report.t
-(** The report shape shared by {!check_all} and the streaming path:
-    the three clause labels paired with the given verdicts. *)
+(** The three clause labels paired with the given verdicts. *)
 
-(** {2 Online monitors}
-
-    The same clauses as incremental {!Unityspec.Online} monitors, fed
-    while the engine runs instead of over a recorded trace.  ME1 and
-    ME2 consume the per-snapshot view array (one feed per trace
-    snapshot, in order); ME3 consumes the oracle entry stream.  On
-    equal input prefixes the verdicts equal the offline operators —
-    including [at] indices and reasons (asserted in tests). *)
-
-val me1_online : unit -> View.t array Unityspec.Online.t
-
-val me2_online : n:int -> View.t array Unityspec.Online.t
-
-val me3_online : unit -> Harness.entry_record Unityspec.Online.t
+val check_all :
+  n:int -> entries:Harness.entry_record list -> vtrace -> Unityspec.Report.t
+(** The three monitors folded over a recorded trace and its entry log
+    (in trace order). *)
 
 (** {2 Epoch-indexed monitors}
 
@@ -66,11 +56,8 @@ val me3_online : unit -> Harness.entry_record Unityspec.Online.t
     topology-legal state before the run ends — no dual-holder
     survives heal-complete.
 
-    One monitor serves both observation modes: {!Epoch.feed}/
-    {!Epoch.feed_entry} stream snapshots as the engine runs, and
-    {!Epoch.of_trace} replays a recorded trace through the same fold,
-    so the two reports are equal field-for-field (asserted across the
-    registry × partition-plan grid in tests). *)
+    {!Epoch.feed}/{!Epoch.feed_entry} consume snapshots as the engine
+    runs. *)
 
 module Epoch : sig
   type row = {
@@ -115,14 +102,6 @@ module Epoch : sig
   (** [safe], ME3 holds, and ME2 is clean up to obligations opened
       within the final [margin] snapshots (default 300). *)
 
-  val of_trace :
-    timeline:Sim.Regime.timeline ->
-    n:int ->
-    entries:Harness.entry_record list ->
-    vtrace ->
-    report
-  (** Offline recomputation: replay a recorded trace (entries fed at
-      their ["enter-cs"] events) through the same fold. *)
 
   val pp : Format.formatter -> report -> unit
 end

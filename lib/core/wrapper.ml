@@ -1,9 +1,7 @@
 (* The wrapper language.  A wrapper is one guarded send over the
    specification-level View vocabulary; the hand-written W and W'(δ)
    are two closed terms of this language, and the synthesizer
-   (lib/synth) enumerates the same language in size order.  The
-   historical [variant] enum survives as a thin alias onto the two
-   closed terms, so the pre-DSL call sites evaluate byte-identically. *)
+   (lib/synth) enumerates the same language in size order. *)
 
 type mode_pred = Is_thinking | Is_hungry | Is_eating
 
@@ -59,6 +57,9 @@ let payload send (v : View.t) =
   | Send_request -> Msg.Request v.req
   | Send_reply -> Msg.Reply (Clocks.Timestamp.make ~clock:v.clock ~pid:v.self)
   | Send_release -> Msg.Release (Clocks.Timestamp.make ~clock:v.clock ~pid:v.self)
+
+let enabled t (v : View.t) ~n =
+  guard_holds t.guard v ~timer:0 ~peers:(Sim.Pid.others ~self:v.self ~n)
 
 let eval t v ~n ~timer =
   List.map (fun k -> (k, payload t.send v)) (term_targets t v ~n ~timer)
@@ -139,18 +140,5 @@ let to_string t =
     (send_to_string t.send)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-(* ------------------------------------------------------------------ *)
-(* The historical two-variant surface, as aliases onto the terms       *)
-
-type variant = Refined | Unrefined
-
-let term_of_variant = function
-  | Refined -> w_refined
-  | Unrefined -> w_unrefined
-
-let targets variant v ~n = term_targets (term_of_variant variant) v ~n ~timer:0
-
-let fire variant v ~n = eval (term_of_variant variant) v ~n ~timer:0
 
 let action_label = "wrapper"

@@ -21,14 +21,12 @@ module Make (N : NODE) = struct
     internal_weight : int;
     policy : policy;
     record : bool;
-    indexed : bool;
   }
 
   let config ?(deliver_weight = 2) ?(internal_weight = 1)
-      ?(policy = Weighted_random) ?(record = true) ?(indexed = true) ~n ~seed
-      () =
+      ?(policy = Weighted_random) ?(record = true) ~n ~seed () =
     if n <= 0 then invalid_arg "Engine.config: need n > 0";
-    { n; seed; deliver_weight; internal_weight; policy; record; indexed }
+    { n; seed; deliver_weight; internal_weight; policy; record }
 
   type t = {
     cfg : config;
@@ -49,35 +47,23 @@ module Make (N : NODE) = struct
            crash status changed ([acts_dirty]). *)
     acts_dirty : bool array;
     dirty : int Vec.t;
-        (* indexed mode: the processes with [acts_dirty] set since the
-           last refresh, so the refresh touches only them instead of
-           scanning all n.  Invariant: [acts_dirty.(p)] iff [p] is in
-           [dirty] (exactly once) — [mark_dirty] pushes on the
-           false-to-true flip only. *)
+        (* the processes with [acts_dirty] set since the last refresh,
+           so the refresh touches only them instead of scanning all n.
+           Invariant: [acts_dirty.(p)] iff [p] is in [dirty] (exactly
+           once) — [mark_dirty] pushes on the false-to-true flip
+           only. *)
     act_counts : Fenwick.t;
-        (* indexed mode: per-process enabled-action counts, kept in
-           lockstep with [acts] — the internal-move half of the
-           weighted draw is [total] + [select] instead of a scan *)
+        (* per-process enabled-action counts, kept in lockstep with
+           [acts] — the internal-move half of the weighted draw is
+           [total] + [select] instead of a scan *)
     crashed_now : bool array;
-        (* crash status at the last refresh; [crashed] depends on
-           [time], so a flip must dirty the cache even though no state
-           write happened.  Indexed mode maintains it eagerly (at fault
-           injection and at recovery detection). *)
+        (* crash status, maintained eagerly at fault injection and at
+           recovery detection; a flip dirties the action cache even
+           though no state write happened *)
     mutable crashed_pids : int list;
-        (* indexed mode: the processes currently inside a crash window
-           (those with [crashed_now] set), so crash bookkeeping costs
-           O(crashed), not O(n) — and nothing once every window has
-           elapsed *)
-    deliv : int array;
-        (* scan-mode scratch (empty when [cfg.indexed]): channel
-           indices (src * n + dst) of the deliverable messages found by
-           [refresh_moves], so the chosen delivery is an array lookup
-           rather than a second fold *)
-    mutable crash_faults_seen : bool;
-        (* no Crash fault has ever been applied: every live channel is
-           deliverable, so the per-step crash bookkeeping (the
-           crash-effects scan and the deliverable-channel filter) can
-           be skipped entirely *)
+        (* the processes currently inside a crash window (those with
+           [crashed_now] set), so crash bookkeeping costs O(crashed),
+           not O(n) — and nothing once every window has elapsed *)
     delay_dists : (int, Faults.delay_dist) Hashtbl.t;
         (* per-channel (src * n + dst) delivery-delay distribution,
            installed by Delay faults; absent means deliver immediately *)
@@ -133,18 +119,15 @@ module Make (N : NODE) = struct
         act_counts = Fenwick.create cfg.n;
         crashed_now = Array.make cfg.n false;
         crashed_pids = [];
-        deliv = Array.make (if cfg.indexed then 0 else cfg.n * cfg.n) 0;
-        crash_faults_seen = false;
         delay_dists = Hashtbl.create 7;
         net_faults_seen = false;
         rev_trace = [];
         observers = Vec.create ();
         metrics = Metrics.create () }
     in
-    if cfg.indexed then
-      for p = 0 to cfg.n - 1 do
-        Vec.push t.dirty p
-      done;
+    for p = 0 to cfg.n - 1 do
+      Vec.push t.dirty p
+    done;
     record t Trace.Init;
     t
 
@@ -157,11 +140,11 @@ module Make (N : NODE) = struct
   let trace t = List.rev t.rev_trace
 
   (* The false-to-true flip is the only push, so [dirty] never holds a
-     process twice and the indexed refresh touches each at most once. *)
+     process twice and the refresh touches each at most once. *)
   let mark_dirty t p =
     if not t.acts_dirty.(p) then begin
       t.acts_dirty.(p) <- true;
-      if t.cfg.indexed then Vec.push t.dirty p
+      Vec.push t.dirty p
     end
 
   let set_state t p s =
@@ -182,11 +165,9 @@ module Make (N : NODE) = struct
     add_observer t feed;
     peek
 
-  (* Indexed mode: drop the processes whose crash window has elapsed
-     from [crashed_pids], retiring their lose flag (so a later
-     buffer-mode crash is not contaminated) and dirtying their action
-     cache — the same transitions the scan path discovers by comparing
-     [crashed] against [crashed_now] across all n. *)
+  (* Drop the processes whose crash window has elapsed from
+     [crashed_pids], retiring their lose flag (so a later buffer-mode
+     crash is not contaminated) and dirtying their action cache. *)
   let sync_recoveries t =
     match t.crashed_pids with
     | [] -> ()
@@ -204,11 +185,9 @@ module Make (N : NODE) = struct
           ps
 
   (* While a lose-mode crash lasts, anything queued toward the dead
-     process is lost; once a window elapses the lose flag is retired so
-     a later buffer-mode crash of the same process is not contaminated.
-     The drain enumerates only the nonempty inbound channels (via the
-     network's destination shard), skipping the unused self-channel
-     like the scan path's [Pid.others] walk. *)
+     process is lost.  The drain enumerates only the nonempty inbound
+     channels (via the network's destination shard), skipping the
+     unused self-channel. *)
   let drain_inbound t p =
     if t.crash_lose.(p) then begin
       let srcs =
@@ -226,16 +205,8 @@ module Make (N : NODE) = struct
     end
 
   let apply_crash_effects t =
-    if t.cfg.indexed then begin
-      sync_recoveries t;
-      List.iter (fun p -> drain_inbound t p) t.crashed_pids
-    end
-    else if t.crash_faults_seen then
-      Array.iteri
-        (fun p until ->
-          if until > t.time then drain_inbound t p
-          else t.crash_lose.(p) <- false)
-        t.crash_until
+    sync_recoveries t;
+    List.iter (fun p -> drain_inbound t p) t.crashed_pids
 
   let dispatch t ~src ~label outbox =
     if not t.net_faults_seen then
@@ -274,48 +245,10 @@ module Make (N : NODE) = struct
      did on the materialized list, so schedules are seed-for-seed
      unchanged.
 
-     Two implementations address that sequence.  The scan refresh
-     recounts all n processes (and, after a crash, all live channels)
-     every step.  The indexed refresh recounts only the dirtied
-     processes into the Fenwick tree and reads both totals in O(1) /
-     O(crashed); selection is then a Fenwick [select] or an [Oset]
-     [nth] — O(log n) a step instead of O(n).  Both count the same
-     moves in the same order, so the draw below is mode-blind. *)
-  let refresh_scan t =
-    let d =
-      if not t.crash_faults_seen then
-        (* no crashes ever: every live channel is deliverable, and the
-           scratch index is not needed ([nth_delivery] walks the live
-           set directly) *)
-        Network.live_count t.net
-      else begin
-        let d = ref 0 in
-        Network.fold_nonempty
-          (fun () ~src ~dst ->
-            if not (crashed t dst) then begin
-              t.deliv.(!d) <- (src * t.cfg.n) + dst;
-              incr d
-            end)
-          () t.net;
-        !d
-      end
-    in
-    let i = ref 0 in
-    for p = 0 to t.cfg.n - 1 do
-      let c = crashed t p in
-      if c <> t.crashed_now.(p) then begin
-        t.crashed_now.(p) <- c;
-        t.acts_dirty.(p) <- true
-      end;
-      if t.acts_dirty.(p) then begin
-        t.acts.(p) <- (if c then [] else N.actions ~self:p t.states.(p));
-        t.acts_dirty.(p) <- false
-      end;
-      i := !i + List.length t.acts.(p)
-    done;
-    (d, !i)
-
-  let refresh_indexed t =
+     The refresh recounts only the dirtied processes into the Fenwick
+     tree and reads both totals in O(1) / O(crashed); selection is
+     then a Fenwick [select] or an [Oset] [nth] — O(log n) a step. *)
+  let refresh_moves t =
     sync_recoveries t;
     Vec.iter
       (fun p ->
@@ -329,8 +262,8 @@ module Make (N : NODE) = struct
     Vec.clear t.dirty;
     let d =
       (* crashed destinations' inbound shards are whole contiguous key
-         ranges of the live set, so subtracting their counts equals the
-         scan path's per-channel deliverability filter *)
+         ranges of the live set, so subtracting their counts filters
+         out exactly the undeliverable channels *)
       List.fold_left
         (fun d p -> d - Network.live_into t.net ~dst:p)
         (Network.live_count t.net)
@@ -338,51 +271,31 @@ module Make (N : NODE) = struct
     in
     (d, Fenwick.total t.act_counts)
 
-  let refresh_moves t =
-    if t.cfg.indexed then refresh_indexed t else refresh_scan t
-
   exception Nth_chan of Pid.t * Pid.t
 
   (* The k-th deliverable channel in (src, dst) order.  With no crash
-     window active every live channel qualifies: indexed mode selects
-     it in O(log n), scan mode walks to it (once per step, only for
-     the chosen move).  While a crash is active, both modes skip the
-     crashed destinations — the scan path from its scratch index, the
-     indexed path by walking the live set (crash windows are a
-     small-n chaos concern; the walk lasts only as long as they do). *)
-  let nth_live_walk t ~skip_crashed k =
-    let k = ref k in
-    try
-      Network.fold_nonempty
-        (fun () ~src ~dst ->
-          if skip_crashed && t.crashed_now.(dst) then ()
-          else if !k = 0 then raise (Nth_chan (src, dst))
-          else decr k)
-        () t.net;
-      assert false (* k < deliverable count *)
-    with Nth_chan (src, dst) -> (src, dst)
-
+     window active every live channel qualifies and is selected in
+     O(log n); while a crash is active, the walk over the live set
+     skips the crashed destinations (crash windows are a small-n chaos
+     concern; the walk lasts only as long as they do). *)
   let nth_delivery t k =
-    if t.cfg.indexed then
-      if t.crashed_pids = [] then Network.nth_live t.net k
-      else nth_live_walk t ~skip_crashed:true k
-    else if t.crash_faults_seen then begin
-      let i = t.deliv.(k) in
-      (i / t.cfg.n, i mod t.cfg.n)
+    if t.crashed_pids = [] then Network.nth_live t.net k
+    else begin
+      let k = ref k in
+      try
+        Network.fold_nonempty
+          (fun () ~src ~dst ->
+            if t.crashed_now.(dst) then ()
+            else if !k = 0 then raise (Nth_chan (src, dst))
+            else decr k)
+          () t.net;
+        assert false (* k < deliverable count *)
+      with Nth_chan (src, dst) -> (src, dst)
     end
-    else nth_live_walk t ~skip_crashed:false k
 
   let nth_internal t k =
-    if t.cfg.indexed then begin
-      let p = Fenwick.select t.act_counts k in
-      (p, List.nth t.acts.(p) (k - Fenwick.prefix t.act_counts p))
-    end
-    else
-      let rec go p k =
-        let len = List.length t.acts.(p) in
-        if k < len then (p, List.nth t.acts.(p) k) else go (p + 1) (k - len)
-      in
-      go 0 k
+    let p = Fenwick.select t.act_counts k in
+    (p, List.nth t.acts.(p) (k - Fenwick.prefix t.act_counts p))
 
   let step t =
     if t.net_faults_seen then t.net <- Network.advance t.net ~now:t.time;
@@ -511,17 +424,12 @@ module Make (N : NODE) = struct
            mark_dirty t p)
          (Faults.select_procs ~n:t.cfg.n proc)
      | Crash { proc; until_t; lose_deliveries } ->
-       t.crash_faults_seen <- true;
        List.iter
          (fun p ->
            if until_t > t.time then begin
              t.crash_until.(p) <- max t.crash_until.(p) until_t;
              t.crash_lose.(p) <- t.crash_lose.(p) || lose_deliveries;
-             (* indexed mode tracks the crash flip here rather than by
-                rescanning at refresh; the scan path discovers it from
-                [crash_until] alone, so [crashed_now] must stay
-                untouched for it *)
-             if t.cfg.indexed && not t.crashed_now.(p) then begin
+             if not t.crashed_now.(p) then begin
                t.crashed_now.(p) <- true;
                t.crashed_pids <- p :: t.crashed_pids;
                mark_dirty t p
@@ -569,11 +477,8 @@ module Make (N : NODE) = struct
      engine stutters forever — the one early-exit condition that
      preserves the rest of the run exactly. *)
   let quiescent t =
-    (if t.cfg.indexed then begin
-       sync_recoveries t;
-       t.crashed_pids = []
-     end
-     else not (Array.exists (fun until -> until > t.time) t.crash_until))
+    (sync_recoveries t;
+     t.crashed_pids = [])
     && begin
       (* staged messages become deliverable at a later step, so they
          are pending moves even though no channel is live yet *)

@@ -53,18 +53,14 @@ module Make (N : NODE) : sig
         (** scheduling weight of each enabled internal action *)
     policy : policy;
     record : bool;  (** keep a full trace (costs memory) *)
-    indexed : bool;
-        (** maintain incremental move indexes (a Fenwick tree of
-            per-process action counts and the network's rank/select
-            live set) so each step costs O(log n) instead of a full
-            O(n + channels) rescan — the default.  [false] keeps the
-            original scanning scheduler; both consume the RNG
-            identically, so schedules are seed-for-seed bit-identical
-            across the two (the equivalence suite checks this). *)
   }
+  (** The scheduler keeps incremental move indexes (a Fenwick tree of
+      per-process action counts and the network's rank/select live
+      set), so each step costs O(log n) rather than a rescan of all
+      processes and channels. *)
 
   val config : ?deliver_weight:int -> ?internal_weight:int -> ?policy:policy ->
-    ?record:bool -> ?indexed:bool -> n:int -> seed:int -> unit -> config
+    ?record:bool -> n:int -> seed:int -> unit -> config
 
   type t
 
@@ -98,7 +94,7 @@ module Make (N : NODE) : sig
       delivery (delayed or buffered behind a partition) — the
       execution is permanently quiescent: every future fault-free step
       is a [Stutter] that changes nothing.  The sound early-exit test
-      for streaming runs (deadlocks). *)
+      for runs that keep no trace (deadlocks). *)
 
   (** {2 Streaming observation}
 

@@ -4,7 +4,7 @@
     The structure is persistent so that the engine can snapshot channel
     contents into traces and so fault injection is a pure
     transformation.  Internally channels live in a sparse map (absent
-    key = empty channel) indexed by two rank/select sets over channel
+    key = empty channel) kept in two rank/select sets over channel
     ids — one source-major, one destination-major — so {!create} and
     memory are O(occupied channels) rather than O(n{^2}), {!nonempty}
     is O(live channels), {!nth_live} and {!live_into} are O(log n),

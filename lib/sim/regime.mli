@@ -69,7 +69,7 @@ val group_members : topo -> Pid.t -> Pid.t list
 
 val same_group : topo -> Pid.t -> Pid.t -> bool
 
-(** {1 Cursor} — monotone O(1) epoch lookup for streaming monitors *)
+(** {1 Cursor} — monotone O(1) epoch lookup for run-time monitors *)
 
 type cursor
 

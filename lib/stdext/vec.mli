@@ -1,7 +1,7 @@
 (** Growable arrays (amortized O(1) push, O(1) random access).
 
     The model checker's visited table maps dense state ids to states
-    and parent pointers; a [Vec.t] gives it array-speed indexed reads
+    and parent pointers; a [Vec.t] gives it array-speed reads by index
     while discovery keeps appending.  Reads are safe from concurrent
     domains as long as no push runs at the same time — the checker
     alternates a parallel read-only expansion phase with a serial

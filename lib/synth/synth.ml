@@ -56,7 +56,7 @@ let sends = [ W.Send_request; W.Send_reply; W.Send_release ]
 (* [Timer_zero] is excluded from the search space: the oracle
    abstracts the harness timer to zero, so a timer gate is invisible
    to certification — the δ rate limit is applied at registration
-   ([Harness.On_term]/[Wrapper.timed]), exactly as [W'] refines [W]. *)
+   ([Harness.On]/[Wrapper.timed]), exactly as [W'] refines [W]. *)
 let guards_of_size =
   let memo : (int, W.guard list) Hashtbl.t = Hashtbl.create 8 in
   let rec go s =

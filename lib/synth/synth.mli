@@ -27,7 +27,7 @@
     - {!Graybox.Wrapper.Timer_zero} is excluded from the space: the
       oracle abstracts the timer to zero, so the gate is invisible to
       certification — δ rate-limiting is applied at registration
-      ([Wrapper.timed] / [Harness.On_term]), exactly as [W'] refines
+      ([Wrapper.timed] / [Harness.On]), exactly as [W'] refines
       [W] in the paper.
 
     Determinism: candidates are dispatched in fixed-width batches over

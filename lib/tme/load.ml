@@ -45,7 +45,7 @@ type result = {
       (* steps from intended arrival to CS entry, in grant order *)
 }
 
-let run ?indexed (module P : Graybox.Protocol.S) ~n ~seed ~rate ~max_requests
+let run (module P : Graybox.Protocol.S) ~n ~seed ~rate ~max_requests
     ~max_steps () =
   if rate <= 0. then invalid_arg "Load.run: need rate > 0";
   let module Node = struct
@@ -103,7 +103,7 @@ let run ?indexed (module P : Graybox.Protocol.S) ~n ~seed ~rate ~max_requests
   let module E = Sim.Engine.Make (Node) in
   let eng =
     E.create
-      (E.config ?indexed ~record:false ~n ~seed ())
+      (E.config ~record:false ~n ~seed ())
       ~init:(fun self ->
         { Node.proto = P.init ~n self;
           phase = Node.Idle;

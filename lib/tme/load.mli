@@ -12,8 +12,8 @@
 
     Runs are seed-deterministic: the result — including every latency
     sample — is a pure function of (protocol, n, seed, rate, bounds),
-    independent of wall-clock, worker count, or the engine's move-index
-    implementation.  Callers time {!run} externally for steps/sec. *)
+    independent of wall-clock or worker count.  Callers time {!run}
+    externally for steps/sec. *)
 
 type result = {
   protocol : string;
@@ -31,7 +31,6 @@ type result = {
 }
 
 val run :
-  ?indexed:bool ->
   (module Graybox.Protocol.S) ->
   n:int ->
   seed:int ->
@@ -49,9 +48,7 @@ val run :
     measured rather than censored by the horizon, exiting as soon as
     every injected request has been granted.  A request still ungranted
     when the drain ends leaves [grants < requests] — for the reference
-    protocols that indicates a genuine liveness problem.
-    [?indexed] selects the engine's move-index implementation (see
-    {!Sim.Engine.Make.config}); results are identical either way. *)
+    protocols that indicates a genuine liveness problem. *)
 
 val percentiles : result -> float list -> float list
 (** [percentiles r ps] are the exact nearest-rank percentiles of the

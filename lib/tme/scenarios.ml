@@ -48,16 +48,15 @@ type result = {
   sim_steps : int;
 }
 
-let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
+let run ?(wrapper = H.Off) ?(faults = []) ?(record = true)
     ?(live_monitors = false) ?tail_margin ?(think = (2, 8)) ?(eat = (1, 3))
-    ?(passive = []) ?indexed (module P : Graybox.Protocol.S) ~n ~seed ~steps =
+    ?(passive = []) (module P : Graybox.Protocol.S) ~n ~seed ~steps =
   let module Run = H.Make (P) in
   let think_min, think_max = think and eat_min, eat_max = eat in
   let params =
     H.params ~wrapper ~think_min ~think_max ~eat_min ~eat_max ~passive ~n ()
   in
-  let record = record && not streaming in
-  let engine = Run.make_engine ~record ?indexed params ~seed in
+  let engine = Run.make_engine ~record params ~seed in
   let lower = function
     | Drop_requests { at; per_chan } ->
       [ Sim.Faults.at at
@@ -128,134 +127,92 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
                       Sim.Regime.group_members topo self))))
     else plan
   in
-  let vtrace, entry_log, analysis, recovery_latency, live_spec, epoch_spec =
-    if not streaming then begin
-      (* record-then-analyse: run the horizon, then fold the trace *)
-      Run.Run.run ~plan ~steps engine;
-      let vtrace = if record then Run.view_trace engine else [] in
-      let entry_log = if record then Run.entry_log engine else [] in
-      let analysis = Graybox.Stabilize.analyse ?tail_margin vtrace in
-      let recovery_latency =
-        let after =
-          match analysis.Graybox.Stabilize.last_fault_index with
-          | Some i -> i
-          | None -> 0
-        in
-        Graybox.Stabilize.service_round_latency vtrace ~after
-      in
-      let epoch_spec =
-        if epochal && record then
-          Some
-            (Graybox.Tme_spec.Epoch.of_trace ~timeline ~n ~entries:entry_log
-               vtrace)
-        else None
-      in
-      (vtrace, entry_log, analysis, recovery_latency, None, epoch_spec)
-    end
-    else begin
-      (* Streaming: no trace.  One observer keeps the spec-level
-         projection (views, oracle request stamps) current — only the
-         process an event touched is re-projected — and fans each step
-         out to the incremental analysis, the entry stream, and (when
-         asked) the live TME_Spec monitors.  The analysis, latency,
-         and entry log equal the offline ones on the same run, seed
-         for seed; the equivalence is asserted in the test suite. *)
-      let ol = Graybox.Stabilize.Online.create ?tail_margin () in
-      let nodes0 = Run.Run.states engine in
-      let views = Array.map Run.view nodes0 in
-      let req_vcs = Array.map (fun (nd : Run.node) -> nd.Run.req_vc) nodes0 in
-      let entries = ref [] in
-      let me1 = ref (Graybox.Tme_spec.me1_online ()) in
-      let me2 = ref (Graybox.Tme_spec.me2_online ~n) in
-      let me3 = ref (Graybox.Tme_spec.me3_online ()) in
-      let em =
-        if epochal then Some (Graybox.Tme_spec.Epoch.create ~n ~timeline)
-        else None
-      in
-      let stuttering = ref false in
-      let refresh (nodes : Run.node array) p =
-        views.(p) <- Run.view nodes.(p);
-        req_vcs.(p) <- nodes.(p).Run.req_vc
-      in
-      let feed_monitors () =
-        if live_monitors then begin
-          me1 := Unityspec.Online.feed !me1 views;
-          me2 := Unityspec.Online.feed !me2 views
-        end
-      in
-      let on_step (s : (Run.node, Run.envelope) Sim.Observer.step) =
-        let nodes = s.Sim.Observer.states in
-        (match s.Sim.Observer.event with
-         | Sim.Trace.Init ->
-           for p = 0 to n - 1 do refresh nodes p done
-         | Sim.Trace.Deliver { dst; _ } -> refresh nodes dst
-         | Sim.Trace.Internal { pid; label } ->
-           if label = "enter-cs" then begin
-             (* the arrays still hold the pre-step projection: the
-                request this entry served *)
-             let e =
-               { H.entry_time = s.Sim.Observer.time;
-                 entry_pid = pid;
-                 entry_req = views.(pid).Graybox.View.req;
-                 entry_req_vc = req_vcs.(pid) }
-             in
-             entries := e :: !entries;
-             if live_monitors then me3 := Unityspec.Online.feed !me3 e;
-             match em with
-             | Some em ->
-               Graybox.Tme_spec.Epoch.feed_entry em ~time:s.Sim.Observer.time e
-             | None -> ()
-           end;
-           refresh nodes pid
-         | Sim.Trace.Fault _ ->
-           for p = 0 to n - 1 do refresh nodes p done
-         | Sim.Trace.Stutter -> ());
-        let fault, stutter =
-          match s.Sim.Observer.event with
-          | Sim.Trace.Fault _ -> (true, false)
-          | Sim.Trace.Stutter -> (false, true)
-          | _ -> (false, false)
-        in
-        stuttering := stutter;
-        Graybox.Stabilize.Online.feed ol ~time:s.Sim.Observer.time ~fault views;
-        feed_monitors ();
-        match em with
-        | Some em ->
-          Graybox.Tme_spec.Epoch.feed em ~time:s.Sim.Observer.time views
-        | None -> ()
-      in
-      Run.Run.add_observer engine on_step;
-      (* A stutter with no crash window left is permanent: exit early
-         and feed the remaining horizon synthetically, so the analysis
-         stays byte-identical to the full run at a fraction of the
-         cost (deadlocked cells dominate campaign wall-clock). *)
-      let stop eng = !stuttering && Run.Run.quiescent eng in
-      (match Run.Run.run_until ~plan ~max_steps:steps ~stop engine with
-       | None -> ()
-       | Some exit_time ->
-         for time = exit_time + 1 to steps do
-           Graybox.Stabilize.Online.feed ol ~time ~fault:false views;
-           feed_monitors ();
-           match em with
-           | Some em -> Graybox.Tme_spec.Epoch.feed em ~time views
-           | None -> ()
-         done);
-      let live =
-        if live_monitors then
-          Some
-            (Graybox.Tme_spec.report_of_verdicts
-               ~me1:(Unityspec.Online.verdict !me1)
-               ~me2:(Unityspec.Online.verdict !me2)
-               ~me3:(Unityspec.Online.verdict !me3))
-        else None
-      in
-      ( [],
-        List.rev !entries,
-        Graybox.Stabilize.Online.analysis ol,
-        Graybox.Stabilize.Online.latency ol,
-        live,
-        Option.map Graybox.Tme_spec.Epoch.report em )
-    end
+  (* One observer keeps the spec-level projection (views, oracle
+     request stamps) current — only the process an event touched is
+     re-projected — and fans each step out to the analysis fold, the
+     entry stream, the epoch monitor and (when asked) the live
+     TME_Spec monitors.  Recording only adds the trace beside it. *)
+  let ol = Graybox.Stabilize.Online.create ?tail_margin () in
+  let nodes0 = Run.Run.states engine in
+  let views = Array.map Run.view nodes0 in
+  let req_vcs = Array.map (fun (nd : Run.node) -> nd.Run.req_vc) nodes0 in
+  let entries = ref [] in
+  let me1 = ref (Graybox.Tme_spec.me1_online ()) in
+  let me2 = ref (Graybox.Tme_spec.me2_online ~n) in
+  let me3 = ref (Graybox.Tme_spec.me3_online ()) in
+  let em =
+    if epochal then Some (Graybox.Tme_spec.Epoch.create ~n ~timeline)
+    else None
+  in
+  let stuttering = ref false in
+  let refresh (nodes : Run.node array) p =
+    views.(p) <- Run.view nodes.(p);
+    req_vcs.(p) <- nodes.(p).Run.req_vc
+  in
+  let feed_snapshot ~time ~fault =
+    Graybox.Stabilize.Online.feed ol ~time ~fault views;
+    if live_monitors then begin
+      me1 := Unityspec.Online.feed !me1 views;
+      me2 := Unityspec.Online.feed !me2 views
+    end;
+    Option.iter (fun em -> Graybox.Tme_spec.Epoch.feed em ~time views) em
+  in
+  let on_step (s : (Run.node, Run.envelope) Sim.Observer.step) =
+    let nodes = s.Sim.Observer.states in
+    let time = s.Sim.Observer.time in
+    (match s.Sim.Observer.event with
+     | Sim.Trace.Init | Sim.Trace.Fault _ ->
+       for p = 0 to n - 1 do refresh nodes p done
+     | Sim.Trace.Deliver { dst; _ } -> refresh nodes dst
+     | Sim.Trace.Internal { pid; label } ->
+       if label = "enter-cs" then begin
+         (* the arrays still hold the pre-step projection: the
+            request this entry served *)
+         let e =
+           { H.entry_time = time;
+             entry_pid = pid;
+             entry_req = views.(pid).Graybox.View.req;
+             entry_req_vc = req_vcs.(pid) }
+         in
+         entries := e :: !entries;
+         if live_monitors then me3 := Unityspec.Online.feed !me3 e;
+         Option.iter
+           (fun em -> Graybox.Tme_spec.Epoch.feed_entry em ~time e)
+           em
+       end;
+       refresh nodes pid
+     | Sim.Trace.Stutter -> ());
+    let fault, stutter =
+      match s.Sim.Observer.event with
+      | Sim.Trace.Fault _ -> (true, false)
+      | Sim.Trace.Stutter -> (false, true)
+      | _ -> (false, false)
+    in
+    stuttering := stutter;
+    feed_snapshot ~time ~fault
+  in
+  Run.Run.add_observer engine on_step;
+  (if record then Run.Run.run ~plan ~steps engine
+   else
+     (* A stutter with no crash window left is permanent: exit early
+        and feed the remaining horizon synthetically, so every verdict
+        equals the full run's at a fraction of the cost (deadlocked
+        cells dominate campaign wall-clock). *)
+     let stop eng = !stuttering && Run.Run.quiescent eng in
+     match Run.Run.run_until ~plan ~max_steps:steps ~stop engine with
+     | None -> ()
+     | Some exit_time ->
+       for time = exit_time + 1 to steps do
+         feed_snapshot ~time ~fault:false
+       done);
+  let live_spec =
+    if live_monitors then
+      Some
+        (Graybox.Tme_spec.report_of_verdicts
+           ~me1:(Unityspec.Online.verdict !me1)
+           ~me2:(Unityspec.Online.verdict !me2)
+           ~me3:(Unityspec.Online.verdict !me3))
+    else None
   in
   let metrics = Run.Run.metrics engine in
   let wrapper_sends =
@@ -267,13 +224,13 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
     seed;
     steps;
     wrapper;
-    vtrace;
-    entry_log;
+    vtrace = (if record then Run.view_trace engine else []);
+    entry_log = List.rev !entries;
     total_entries = Run.total_entries engine;
-    analysis;
-    recovery_latency;
+    analysis = Graybox.Stabilize.Online.analysis ol;
+    recovery_latency = Graybox.Stabilize.Online.latency ol;
     live_spec;
-    epoch_spec;
+    epoch_spec = Option.map Graybox.Tme_spec.Epoch.report em;
     sent_total;
     wrapper_sends;
     protocol_sends = sent_total - wrapper_sends;
@@ -345,7 +302,6 @@ let () =
 
 let find_protocol = Graybox.Registry.find_protocol
 
-let wrapped ?(variant = Graybox.Wrapper.Refined) ~delta () =
-  H.On { variant; delta }
+let wrapped_term ~term ~delta () = H.On { term; delta }
 
-let wrapped_term ~term ~delta () = H.On_term { term; delta }
+let wrapped ~delta () = wrapped_term ~term:Graybox.Wrapper.w_refined ~delta ()

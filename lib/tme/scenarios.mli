@@ -68,25 +68,25 @@ type result = {
   steps : int;
   wrapper : Graybox.Harness.wrapper_mode;
   vtrace : (Graybox.View.t, Graybox.Msg.t) Sim.Trace.t;
+      (** the view trace; empty unless [~record:true] *)
   entry_log : Graybox.Harness.entry_record list;
+      (** oracle CS-entry records, in trace order *)
   total_entries : int;
   analysis : Graybox.Stabilize.analysis;
   recovery_latency : int option;
       (** steps from the last fault until every process completed a
-          fresh CS entry ({!Graybox.Stabilize.service_round_latency});
+          fresh CS entry ({!Graybox.Stabilize.Online.latency});
           measured from the trace start on fault-free runs *)
   live_spec : Unityspec.Report.t option;
-      (** ME1/ME2/ME3 verdicts from the online monitors, present only
-          on streaming runs with [~live_monitors:true]; equal to
+      (** ME1/ME2/ME3 verdicts from the monitors fed during the run,
+          present only with [~live_monitors:true]; equal to
           {!tme_report} of the same scenario recorded *)
   epoch_spec : Graybox.Tme_spec.Epoch.report option;
       (** the regime-epoch report ({!Graybox.Tme_spec.Epoch}): present
           exactly when the lowered plan induces a nontrivial
           {!Sim.Regime} timeline (an effective split or crash window).
-          Streaming runs feed the monitor online; recorded runs replay
-          the trace through {!Graybox.Tme_spec.Epoch.of_trace} — equal
-          either way (asserted in tests).  [None] on no-partition
-          plans, whose results are byte-identical to pre-epoch code. *)
+          [None] on no-partition plans, whose results are
+          byte-identical to pre-epoch code. *)
   sent_total : int;
   wrapper_sends : int;
   protocol_sends : int;  (** [sent_total - wrapper_sends] *)
@@ -98,37 +98,36 @@ val run :
   ?wrapper:Graybox.Harness.wrapper_mode ->
   ?faults:fault_spec list ->
   ?record:bool ->
-  ?streaming:bool ->
   ?live_monitors:bool ->
   ?tail_margin:int ->
   ?think:(int * int) ->
   ?eat:(int * int) ->
   ?passive:Sim.Pid.t list ->
-  ?indexed:bool ->
   (module Graybox.Protocol.S) ->
   n:int -> seed:int -> steps:int -> result
-(** [run proto ~n ~seed ~steps] executes one scenario.  With
-    [~record:false] the view trace and entry log are empty and the
-    analysis is degenerate — use it for throughput measurements
-    only.
+(** [run proto ~n ~seed ~steps] executes one scenario.  An engine
+    observer computes the analysis, recovery latency, entry log and
+    epoch report while the run proceeds; [~live_monitors:true]
+    additionally feeds the {!Graybox.Tme_spec} monitors and fills
+    [live_spec].
 
-    With [~streaming:true] trace recording is forced off and the
-    analysis, recovery latency, and entry log are computed online by
-    an engine observer while the run proceeds; they equal the recorded
-    run's results field for field (asserted in the test suite), but
-    [vtrace] is empty.  Streaming runs also exit early once the system
-    is permanently quiescent (deadlocked with no pending recovery),
-    feeding the rest of the horizon synthetically — [sim_steps] then
-    reports how far the engine actually ran.  [~live_monitors:true]
-    additionally folds the {!Graybox.Tme_spec} online monitors over
-    the run and fills [live_spec]. *)
+    With [~record:true] (the default) the run also keeps its view
+    trace, for clause checks ({!lspec_report}, {!tme_report}) that
+    fold monitors over it, and runs the full horizon.  With
+    [~record:false] [vtrace] is empty and the run exits early once the
+    system is permanently quiescent (deadlocked with no pending
+    recovery), feeding the rest of the horizon to the observers
+    synthetically — [sim_steps] then reports how far the engine
+    actually ran.  Every other field is the same either way (asserted
+    in the test suite). *)
 
 val lspec_report : result -> Unityspec.Report.t
 (** Lspec clause verdicts over the scenario's recorded trace — only
     meaningful on fault-free runs (see {!Graybox.Lspec}). *)
 
 val tme_report : result -> Unityspec.Report.t
-(** ME1/ME2/ME3 verdicts over the recorded trace. *)
+(** ME1/ME2/ME3 verdicts: {!Graybox.Tme_spec.check_all} over the
+    recorded trace and the entry log. *)
 
 val find_protocol : string -> (module Graybox.Protocol.S) option
 (** Alias for {!Graybox.Registry.find_protocol}.  This module is the
@@ -143,12 +142,11 @@ val find_protocol : string -> (module Graybox.Protocol.S) option
     {!Graybox.Registry.all}; there is no separate protocol list here
     to drift from it. *)
 
-val wrapped : ?variant:Graybox.Wrapper.variant -> delta:int -> unit ->
-  Graybox.Harness.wrapper_mode
-(** Convenience constructor for [On {variant; delta}]. *)
+val wrapped : delta:int -> unit -> Graybox.Harness.wrapper_mode
+(** The paper's wrapper: [On {term = w_refined; delta}] — [W] at
+    [delta = 0], [W'(δ)] above. *)
 
 val wrapped_term : term:Graybox.Wrapper.t -> delta:int -> unit ->
   Graybox.Harness.wrapper_mode
-(** Convenience constructor for [On_term {term; delta}] — an arbitrary
-    wrapper-DSL term (a registry entry's [wrapper_term], a synthesized
-    candidate) under the same [δ]-timer discipline. *)
+(** [On {term; delta}] — any wrapper-DSL term (a registry entry's
+    [wrapper_term], a synthesized candidate) under the same rule. *)

@@ -1,6 +1,6 @@
 (* The verdict is lazy: [leads_to] would otherwise rebuild (and
-   reverse) its obligation list at every feed, making a long streaming
-   run quadratic in its own length; nothing reads verdicts more than a
+   reverse) its obligation list at every feed, making a long run
+   quadratic in its own length; nothing reads verdicts more than a
    handful of times per run. *)
 type 'a t = { verdict : Temporal.verdict Lazy.t; feed : 'a -> 'a t }
 

@@ -1,19 +1,24 @@
-(** Incremental monitors: the operators of {!Temporal}, consumable one
-    snapshot at a time.
+(** The UNITY operators as incremental monitors, for any snapshot type
+    (the graybox layer instantiates it with arrays of spec-level
+    views).
 
-    Offline checking records the whole trace and then folds the
-    operators over it; for long benchmark runs that is memory the
-    engine need not spend.  An online monitor carries its own state,
-    is fed each snapshot as it is produced, and yields at any moment
-    the verdict of the corresponding offline operator on the prefix
-    seen so far (exact equivalence is property-tested in the test
-    suite).  Monitors are persistent values: [feed] returns a new
-    monitor, so snapshotting a monitor is free. *)
+    A monitor carries its own state, is fed each snapshot as it is
+    produced, and yields at any moment the verdict on the prefix seen
+    so far; a recorded trace is checked by feeding it through
+    ({!run}).  The test suite keeps whole-trace definitions of the
+    operators as a reference model and asserts the verdicts equal.
+    Monitors are persistent values: [feed] returns a new monitor, so
+    snapshotting a monitor is free.
+
+    - {e safety} ([invariant], [step_invariant], [unless], [stable])
+      latches the first violation;
+    - {e liveness} ([leads_to], [leads_to_always], [leads_to_gated])
+      reports the obligations still open as [Pending]. *)
 
 type 'a t
 
 val verdict : 'a t -> Temporal.verdict
-(** [verdict m] is the offline verdict on the prefix fed so far. *)
+(** [verdict m] is the verdict on the prefix fed so far. *)
 
 val feed : 'a t -> 'a -> 'a t
 
@@ -23,19 +28,28 @@ val run : 'a t -> 'a list -> Temporal.verdict
 (** [run m tr] = [verdict (feed_all m tr)]. *)
 
 val invariant : ?name:string -> ('a -> bool) -> 'a t
+(** [invariant p]: [p] holds in every snapshot. *)
 
 val step_invariant : ?name:string -> ('a -> 'a -> bool) -> 'a t
+(** [step_invariant r]: [r previous next] holds for every consecutive
+    snapshot pair — the form of the paper's primed-variable clauses
+    such as [h.j ⇒ REQ'_j = REQ_j]. *)
 
 val unless : ?name:string -> ('a -> bool) -> ('a -> bool) -> 'a t
-(** [unless ?name p q]. *)
+(** [unless p q]: whenever [p ∧ ¬q] holds in a snapshot, [p ∨ q]
+    holds in the next one. *)
 
 val stable : ?name:string -> ('a -> bool) -> 'a t
+(** [stable p] is [unless p (fun _ -> false)]: once [p], always [p]. *)
 
 val leads_to : ?name:string -> ('a -> bool) -> ('a -> bool) -> 'a t
-(** [leads_to ?name p q]. *)
+(** [leads_to p q]: every snapshot satisfying [p] is followed
+    (inclusively) by one satisfying [q]; undischarged obligations are
+    [Pending]. *)
 
 val leads_to_always : ?name:string -> ('a -> bool) -> ('a -> bool) -> 'a t
-(** [leads_to_always ?name p q]. *)
+(** [leads_to_always p q] is the paper's [p ↪ q]: [leads_to p q] and
+    [stable q] — a [q]-point that later fails [q] is a violation. *)
 
 val leads_to_gated :
   ?name:string -> gate:('a -> bool) -> ('a -> bool) -> ('a -> bool) -> 'a t

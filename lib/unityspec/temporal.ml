@@ -16,62 +16,6 @@ let pp_verdict ppf = function
          Format.pp_print_int)
       obligations
 
-let describe name fallback =
-  match name with Some n -> n | None -> fallback
-
-let invariant ?name p tr =
-  let rec go i = function
-    | [] -> Holds
-    | s :: rest ->
-      if p s then go (i + 1) rest
-      else
-        Violated { at = i; reason = describe name "invariant" ^ " fails" }
-  in
-  go 0 tr
-
-let step_invariant ?name r tr =
-  let rec go i = function
-    | a :: (b :: _ as rest) ->
-      if r a b then go (i + 1) rest
-      else
-        Violated
-          { at = i + 1; reason = describe name "step-invariant" ^ " fails" }
-    | [] | [ _ ] -> Holds
-  in
-  go 0 tr
-
-let unless ?name ~p ~q tr =
-  let label = describe name "unless" in
-  let r a b = (not (p a && not (q a))) || p b || q b in
-  match step_invariant r tr with
-  | Violated { at; _ } -> Violated { at; reason = label ^ " fails" }
-  | v -> v
-
-let stable ?name p tr =
-  let label = describe name "stable" in
-  match unless ~p ~q:(fun _ -> false) tr with
-  | Violated { at; _ } -> Violated { at; reason = label ^ " fails" }
-  | v -> v
-
-let leads_to ?name ~p ~q tr =
-  ignore name;
-  (* Walk backwards: remember the nearest later-or-equal q-point. *)
-  let arr = Array.of_list tr in
-  let n = Array.length arr in
-  let pending = ref [] in
-  let q_ahead = ref false in
-  for i = n - 1 downto 0 do
-    if q arr.(i) then q_ahead := true;
-    if p arr.(i) && not !q_ahead then pending := i :: !pending
-  done;
-  if !pending = [] then Holds else Pending { obligations = !pending }
-
-let leads_to_always ?name ~p ~q tr =
-  let label = describe name "leads-to-always" in
-  match stable ~name:(label ^ " (stability of target)") q tr with
-  | Violated _ as v -> v
-  | _ -> leads_to ?name ~p ~q tr
-
 let ok_with_tail ~trace_len ~margin = function
   | Holds -> true
   | Violated _ -> false
@@ -88,14 +32,3 @@ let both a b =
   | Holds, _ -> b
 
 let all vs = List.fold_left both Holds vs
-
-let forall f n = all (List.init n f)
-
-let forall_pairs f n =
-  let pairs =
-    List.concat_map
-      (fun j -> List.filter_map (fun k -> if j <> k then Some (j, k) else None)
-                  (List.init n Fun.id))
-      (List.init n Fun.id)
-  in
-  all (List.map (fun (j, k) -> f j k) pairs)

@@ -1,19 +1,16 @@
-(** UNITY temporal operators, checked over finite recorded traces.
+(** Verdicts of the UNITY temporal operators over finite prefixes.
 
     The paper states its specifications in UNITY (Chandy–Misra):
     [p unless q], [stable p], [p is invariant], [p ↝ q] (leads-to) and
-    [p ↪ q] (leads-to-always).  A simulator produces finite prefixes of
-    computations, so the checkers come in two flavours:
+    [p ↪ q] (leads-to-always); {!Online} implements them as monitors.
+    A simulator produces finite prefixes of computations, so verdicts
+    come in two flavours:
 
-    - {e safety} ([invariant], [unless], [stable], [step_invariant])
-      is decided definitively on a prefix — a violation is a violation;
-    - {e liveness} ([leads_to], [leads_to_always]) can only be
-      {e discharged} or left {e pending} on a prefix; the pending count
-      at the end of a long run (with the system quiescent) is the
-      empirical verdict.
-
-    All checkers work on ['a list] traces for any snapshot type; the
-    graybox layer instantiates ['a] with arrays of spec-level views. *)
+    - {e safety} is decided definitively on a prefix — a violation is
+      a violation;
+    - {e liveness} can only be {e discharged} or left {e pending} on a
+      prefix; the pending count at the end of a long run (with the
+      system quiescent) is the empirical verdict. *)
 
 type verdict =
   | Holds
@@ -28,39 +25,6 @@ val is_ok : verdict -> bool
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** {2 Safety} *)
-
-val invariant : ?name:string -> ('a -> bool) -> 'a list -> verdict
-(** [invariant p tr]: [p] holds in every snapshot. *)
-
-val unless : ?name:string -> p:('a -> bool) -> q:('a -> bool) -> 'a list -> verdict
-(** [unless ~p ~q tr]: whenever [p ∧ ¬q] holds in a snapshot, [p ∨ q]
-    holds in the next one. *)
-
-val stable : ?name:string -> ('a -> bool) -> 'a list -> verdict
-(** [stable p tr] is [unless ~p ~q:(fun _ -> false)]: once [p], always
-    [p]. *)
-
-val step_invariant :
-  ?name:string -> ('a -> 'a -> bool) -> 'a list -> verdict
-(** [step_invariant r tr]: the relation [r previous next] holds for
-    every consecutive snapshot pair — the form of the paper's
-    primed-variable clauses such as [h.j ⇒ REQ'_j = REQ_j]. *)
-
-(** {2 Liveness} *)
-
-val leads_to : ?name:string -> p:('a -> bool) -> q:('a -> bool) -> 'a list -> verdict
-(** [leads_to ~p ~q tr]: every snapshot satisfying [p] is followed
-    (inclusively) by one satisfying [q].  Undischarged obligations are
-    reported as [Pending]. *)
-
-val leads_to_always :
-  ?name:string -> p:('a -> bool) -> q:('a -> bool) -> 'a list -> verdict
-(** [leads_to_always ~p ~q tr] is the paper's [p ↪ q]:
-    [leads_to p q] and, additionally, [q] never turns false once true
-    ([stable q]).  A [q]-point that later fails [q] is a safety
-    violation; an open [p]-obligation is [Pending]. *)
-
 val ok_with_tail : trace_len:int -> margin:int -> verdict -> bool
 (** [ok_with_tail ~trace_len ~margin v] accepts [Holds] and accepts
     [Pending] when every open obligation was opened within the final
@@ -68,15 +32,7 @@ val ok_with_tail : trace_len:int -> margin:int -> verdict -> bool
     on a finite prefix (the run simply ended mid-obligation).
     [Violated] is never accepted. *)
 
-(** {2 Combinators} *)
-
-val forall : (int -> verdict) -> int -> verdict
-(** [forall f n] conjoins [f 0 … f (n-1)], returning the first
-    non-[Holds] verdict — the paper's [(∀j :: …)] over process ids. *)
-
-val forall_pairs : (int -> int -> verdict) -> int -> verdict
-(** [forall_pairs f n] conjoins [f j k] over all ordered pairs
-    [j ≠ k]. *)
+(** {2 Conjunction} *)
 
 val both : verdict -> verdict -> verdict
 (** [both a b] conjoins two verdicts, preferring to report a violation

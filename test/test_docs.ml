@@ -172,7 +172,7 @@ let test_experiments_load_section () =
   check_mentions "EXPERIMENTS.md" text
     ([ "## Open-loop load (LOAD, `BENCH_load.json`)";
        "graybox-bench-load/1"; "coordinated omission"; "open-loop";
-       "p50/p99/p999"; "--scan" ]
+       "p50/p99/p999"; "test/golden_schedules" ]
      @ List.map
          (fun (e : R.entry) -> e.R.name)
          (R.all ~role:R.Reference ()))
@@ -200,10 +200,23 @@ let test_design_inventory () =
 let test_design_move_indexes () =
   check_mentions "DESIGN.md" (Lazy.force design)
     [ "move indexes"; "Fenwick"; "rank/select"; "bit-identical";
-      "~indexed:false"; "dense_threshold"; "Tme.Load" ];
+      "test/golden_schedules"; "dense_threshold"; "Tme.Load" ];
   (* the README must tell the same scale story *)
   check_mentions "README.md" (Lazy.force readme)
-    [ "BENCH_load.json"; "p50/p99/p999"; "--scan"; "coordinated omission" ]
+    [ "BENCH_load.json"; "p50/p99/p999"; "test/golden_schedules";
+      "coordinated omission" ]
+
+(* every analysis is one fold, run live or over a recorded trace, and
+   every wrapper term runs under one harness constructor *)
+let test_one_analysis_path () =
+  check_mentions "DESIGN.md" (Lazy.force design)
+    [ "**One analysis path.**"; "fold of the same observers";
+      "`test/offline`"; "`Harness.On { term; delta }`" ];
+  check_mentions "README.md" (Lazy.force readme)
+    [ "fold of the same observers"; "`Harness.On { term; delta }`" ];
+  check_mentions "EXPERIMENTS.md" (Lazy.force experiments)
+    [ "## Analysis as a fold"; "fold of the same observers";
+      "`test/offline`" ]
 
 let test_design_regime_section () =
   check_mentions "DESIGN.md" (Lazy.force design)
@@ -263,6 +276,8 @@ let () =
       ( "design",
         [ Alcotest.test_case "inventory covers the partition model" `Quick
             test_design_inventory;
+          Alcotest.test_case "one analysis path documented" `Quick
+            test_one_analysis_path;
           Alcotest.test_case "move-index architecture documented" `Quick
             test_design_move_indexes;
           Alcotest.test_case "regime-epoch architecture documented" `Quick

@@ -144,8 +144,8 @@ let test_gcl_conformance_fault_free () =
   let r = Tme.Scenarios.run ra_gcl ~n:4 ~seed:11 ~steps:5000 in
   let lspec = Tme.Scenarios.lspec_report r in
   Alcotest.(check bool) "Lspec safety" true (Unityspec.Report.safe lspec);
-  Alcotest.(check bool) "ME1" true (T.is_ok (Graybox.Tme_spec.me1 r.vtrace));
-  Alcotest.(check bool) "ME3" true (T.is_ok (Graybox.Tme_spec.me3 r.entry_log))
+  Alcotest.(check bool) "TME_Spec safe" true
+    (Unityspec.Report.safe (Tme.Scenarios.tme_report r))
 
 let test_gcl_wrapper_stabilizes () =
   (* the same wrapper, over the store-based implementation, with the

@@ -74,13 +74,16 @@ let test_view_earliest () =
 (* ------------------------------------------------------------------ *)
 (* Wrapper: the paper's W                                               *)
 
+let targets term v ~n = Wrapper.term_targets term v ~n ~timer:0
+let fire term v ~n = Wrapper.eval term v ~n ~timer:0
+
 let test_wrapper_not_hungry_silent () =
   let v = mk_view ~self:0 ~mode:View.Thinking ~req:(ts 5 0) [ (1, ts 0 1) ] in
   Alcotest.(check (list int)) "thinking: no targets" []
-    (Wrapper.targets Wrapper.Refined v ~n:3);
+    (targets Wrapper.w_refined v ~n:3);
   let v = { v with View.mode = View.Eating } in
   Alcotest.(check (list int)) "eating: no targets" []
-    (Wrapper.targets Wrapper.Refined v ~n:3)
+    (targets Wrapper.w_refined v ~n:3)
 
 let test_wrapper_refined_targets () =
   (* j.REQ_1 lt REQ_j: resend to 1; j.REQ_2 is newer: skip *)
@@ -89,8 +92,8 @@ let test_wrapper_refined_targets () =
       [ (1, ts 2 1); (2, ts 8 2) ]
   in
   Alcotest.(check (list int)) "only stale peer" [ 1 ]
-    (Wrapper.targets Wrapper.Refined v ~n:3);
-  match Wrapper.fire Wrapper.Refined v ~n:3 with
+    (targets Wrapper.w_refined v ~n:3);
+  match fire Wrapper.w_refined v ~n:3 with
   | [ (1, Msg.Request r) ] ->
     Alcotest.(check bool) "sends REQ_j" true (Timestamp.equal r (ts 5 0))
   | _ -> Alcotest.fail "expected a single request to 1"
@@ -101,7 +104,7 @@ let test_wrapper_unrefined_targets () =
       [ (1, ts 2 1); (2, ts 8 2) ]
   in
   Alcotest.(check (list int)) "all peers" [ 1; 2 ]
-    (Wrapper.targets Wrapper.Unrefined v ~n:3)
+    (targets Wrapper.w_unrefined v ~n:3)
 
 let test_wrapper_consistent_state_silent () =
   (* everyone's copy is past REQ_j: the refined wrapper is quiet *)
@@ -110,7 +113,7 @@ let test_wrapper_consistent_state_silent () =
       [ (0, ts 7 0); (2, ts 4 2) ]
   in
   Alcotest.(check (list int)) "no stale copies" []
-    (Wrapper.targets Wrapper.Refined v ~n:3)
+    (targets Wrapper.w_refined v ~n:3)
 
 let prop_wrapper_refined_subset_unrefined =
   qtest "refined targets are a subset of unrefined"
@@ -124,8 +127,8 @@ let prop_wrapper_refined_subset_unrefined =
         mk_view ~self:0 ~mode:View.Hungry ~req:(ts req_c 0)
           [ (1, ts l1 1); (2, ts l2 2) ]
       in
-      let r = Wrapper.targets Wrapper.Refined v ~n:3 in
-      let u = Wrapper.targets Wrapper.Unrefined v ~n:3 in
+      let r = targets Wrapper.w_refined v ~n:3 in
+      let u = targets Wrapper.w_unrefined v ~n:3 in
       List.for_all (fun k -> List.mem k u) r)
 
 let prop_wrapper_sends_own_request =
@@ -140,7 +143,7 @@ let prop_wrapper_sends_own_request =
           match m with
           | Msg.Request r -> Timestamp.equal r (ts req_c 0)
           | Msg.Reply _ | Msg.Release _ -> false)
-        (Wrapper.fire Wrapper.Refined v ~n:2))
+        (fire Wrapper.w_refined v ~n:2))
 
 (* ------------------------------------------------------------------ *)
 (* Monitors over hand-built traces                                      *)
@@ -148,6 +151,16 @@ let prop_wrapper_sends_own_request =
 let snap ?(event = Sim.Trace.Stutter) time states channels :
     (View.t, Msg.t) Sim.Trace.snapshot =
   { Sim.Trace.time; event; states; channels = lazy channels }
+
+let views_of tr = List.map (fun (s : _ Sim.Trace.snapshot) -> s.Sim.Trace.states) tr
+let me1 tr = Unityspec.Online.run (Tme_spec.me1_online ()) (views_of tr)
+let me2 ~n tr = Unityspec.Online.run (Tme_spec.me2_online ~n) (views_of tr)
+let me3 entries = Unityspec.Online.run (Tme_spec.me3_online ()) entries
+
+(* the stabilization analysis of a recorded trace: the run-time fold,
+   folded over it *)
+let analyse ?tail_margin tr =
+  Stabilize.Online.analysis (Stabilize.Online.of_trace ?tail_margin tr)
 
 let two_views m0 m1 =
   [| mk_view ~self:0 ~mode:m0 ~req:(ts 1 0) [ (1, ts 2 1) ];
@@ -158,10 +171,10 @@ let test_me1_detects_double_eating () =
     [ snap 0 (two_views View.Thinking View.Thinking) [];
       snap 1 (two_views View.Eating View.Eating) [] ]
   in
-  (match Tme_spec.me1 tr with
+  (match me1 tr with
    | Unityspec.Temporal.Violated { at = 1; _ } -> ()
    | _ -> Alcotest.fail "expected ME1 violation at 1");
-  Alcotest.(check int) "violation count" 1 (Tme_spec.me1_violations tr)
+  Alcotest.(check int) "violation count" 1 (analyse tr).Stabilize.me1_violations
 
 let test_me2_pending_and_discharged () =
   let tr =
@@ -169,12 +182,12 @@ let test_me2_pending_and_discharged () =
       snap 1 (two_views View.Eating View.Thinking) [] ]
   in
   Alcotest.(check bool) "discharged" true
-    (Unityspec.Temporal.is_ok (Tme_spec.me2 ~n:2 tr));
+    (Unityspec.Temporal.is_ok (me2 ~n:2 tr));
   let stuck =
     [ snap 0 (two_views View.Hungry View.Thinking) [];
       snap 1 (two_views View.Hungry View.Thinking) [] ]
   in
-  match Tme_spec.me2 ~n:2 stuck with
+  match me2 ~n:2 stuck with
   | Unityspec.Temporal.Pending _ -> ()
   | _ -> Alcotest.fail "expected pending starvation"
 
@@ -188,12 +201,12 @@ let test_me3_causal_violation () =
       { entry_time = 2; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc1 } ]
   in
   Alcotest.(check bool) "causal order ok" true
-    (Unityspec.Temporal.is_ok (Tme_spec.me3 entries_ok));
+    (Unityspec.Temporal.is_ok (me3 entries_ok));
   let entries_bad =
     [ { Harness.entry_time = 1; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc1 };
       { Harness.entry_time = 2; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc0 } ]
   in
-  match Tme_spec.me3 entries_bad with
+  match me3 entries_bad with
   | Unityspec.Temporal.Violated _ -> ()
   | _ -> Alcotest.fail "expected FCFS violation"
 
@@ -205,7 +218,7 @@ let test_me3_concurrent_requests_any_order () =
       { entry_time = 2; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc_a } ]
   in
   Alcotest.(check bool) "concurrent: any order fine" true
-    (Unityspec.Temporal.is_ok (Tme_spec.me3 entries))
+    (Unityspec.Temporal.is_ok (me3 entries))
 
 let test_lspec_flow_catches_illegal_transition () =
   let tr =
@@ -308,7 +321,7 @@ let test_lspec_init_spec () =
 let test_stabilize_clean_trace () =
   let states = two_views View.Thinking View.Thinking in
   let tr = List.init 10 (fun i -> snap i states []) in
-  let a = Stabilize.analyse tr in
+  let a = analyse tr in
   Alcotest.(check bool) "recovered" true a.Stabilize.recovered;
   Alcotest.(check (option int)) "no fault" None a.Stabilize.last_fault_index;
   Alcotest.(check int) "no violations" 0 a.Stabilize.me1_violations
@@ -316,7 +329,7 @@ let test_stabilize_clean_trace () =
 let test_stabilize_detects_starvation () =
   let stuck = two_views View.Hungry View.Thinking in
   let tr = List.init 50 (fun i -> snap i stuck []) in
-  let a = Stabilize.analyse ~tail_margin:10 tr in
+  let a = analyse ~tail_margin:10 tr in
   Alcotest.(check bool) "not recovered" false a.Stabilize.recovered;
   Alcotest.(check (list int)) "process 0 starves" [ 0 ] a.Stabilize.starving
 
@@ -331,7 +344,7 @@ let test_stabilize_recovery_after_fault () =
       snap 4 thinking [];
       snap 5 thinking [] ]
   in
-  let a = Stabilize.analyse ~tail_margin:2 tr in
+  let a = analyse ~tail_margin:2 tr in
   Alcotest.(check bool) "recovered" true a.Stabilize.recovered;
   Alcotest.(check (option int)) "fault at 1" (Some 1) a.Stabilize.last_fault_index;
   Alcotest.(check int) "violations counted" 2 a.Stabilize.me1_violations;
@@ -340,7 +353,7 @@ let test_stabilize_recovery_after_fault () =
   | None -> Alcotest.fail "expected recovery steps"
 
 let test_stabilize_empty_trace () =
-  let a = Stabilize.analyse [] in
+  let a = analyse [] in
   Alcotest.(check bool) "not recovered" false a.Stabilize.recovered;
   Alcotest.(check int) "len" 0 a.Stabilize.trace_len
 
@@ -349,10 +362,15 @@ let test_service_round_latency () =
   let e1 = two_views View.Thinking View.Eating in
   let t = two_views View.Thinking View.Thinking in
   let tr = [ snap 0 t []; snap 1 e0 []; snap 2 t []; snap 3 e1 []; snap 4 t [] ] in
-  Alcotest.(check (option int)) "both served by t=3" (Some 3)
-    (Stabilize.service_round_latency tr ~after:0);
-  Alcotest.(check (option int)) "never after 3" None
-    (Stabilize.service_round_latency tr ~after:3)
+  let latency tr = Stabilize.Online.latency (Stabilize.Online.of_trace tr) in
+  Alcotest.(check (option int)) "both served by t=3" (Some 3) (latency tr);
+  (* a fault re-bases the round: nobody enters after one at index 3 *)
+  let faulted =
+    [ snap 0 t []; snap 1 e0 []; snap 2 t [];
+      snap ~event:(Sim.Trace.Fault { label = "mutate" }) 3 e1 [];
+      snap 4 t [] ]
+  in
+  Alcotest.(check (option int)) "never after 3" None (latency faulted)
 
 let test_lspec_timestamp_monotone_violation () =
   (* a clock going backwards must violate Timestamp Spec *)
@@ -436,18 +454,20 @@ let test_harness_params_validation () =
 module HR = Harness.Make (Tme.Ra_me)
 
 let test_harness_entry_log_matches_counter () =
-  let params = Harness.params ~n:3 () in
-  let engine = HR.make_engine params ~seed:5 in
-  HR.Run.run ~steps:2500 engine;
+  let r = Tme.Scenarios.run (module Tme.Ra_me) ~n:3 ~seed:5 ~steps:2500 in
   Alcotest.(check int) "entry log length = oracle counter"
-    (HR.total_entries engine)
-    (List.length (HR.entry_log engine));
-  (* every logged entry carries the request active just before it *)
+    r.Tme.Scenarios.total_entries
+    (List.length r.Tme.Scenarios.entry_log);
+  (* every entry is stamped with its step, which enters the CS *)
   List.iter
     (fun (e : Harness.entry_record) ->
       Alcotest.(check bool) "entry pid in range" true
-        (e.entry_pid >= 0 && e.entry_pid < 3))
-    (HR.entry_log engine)
+        (e.entry_pid >= 0 && e.entry_pid < 3);
+      let snap = List.nth r.Tme.Scenarios.vtrace e.entry_time in
+      Alcotest.(check bool) "entry step enters the CS" true
+        (snap.Sim.Trace.event
+         = Sim.Trace.Internal { pid = e.entry_pid; label = "enter-cs" }))
+    r.Tme.Scenarios.entry_log
 
 let test_harness_view_trace_shape () =
   let params = Harness.params ~n:3 () in

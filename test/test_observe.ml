@@ -1,8 +1,9 @@
-(* Tests for the streaming observation layer: observer combinators,
-   the engine's step stream, and — the load-bearing property — exact
-   equivalence between the online analyses and the offline
-   trace-then-analyse path, across protocols, wrapper modes, and
-   seeded fault plans (crashes included). *)
+(* Tests for the observation layer: observer combinators, the
+   engine's step stream, and — the load-bearing property — exact
+   equivalence between the analyses folded while a run proceeds and
+   the whole-trace reference definitions ([Offline], test-side), and
+   between runs with and without a trace, across protocols, wrapper
+   modes, and seeded fault plans (crashes included). *)
 
 module H = Graybox.Harness
 module S = Tme.Scenarios
@@ -125,8 +126,9 @@ let crash_plan =
 let seeds = List.init 10 (fun i -> i + 1)
 
 let test_online_fold_equals_offline () =
-  (* Stabilize.Online over a recorded trace reproduces analyse and
-     service_round_latency exactly, on every grid cell *)
+  (* the run's analysis fold, and the same fold over the recorded
+     trace, reproduce the whole-trace reference definitions exactly,
+     on every grid cell *)
   List.iter
     (fun (pname, proto) ->
       List.iter
@@ -139,19 +141,28 @@ let test_online_fold_equals_offline () =
               let r = S.run proto ~wrapper ~faults ~n ~seed ~steps:horizon in
               let cell = Printf.sprintf "%s/%s/seed %d" pname wname seed in
               let ol = Stz.Online.of_trace r.S.vtrace in
+              let reference = Offline.analyse r.S.vtrace in
+              let after =
+                Option.value reference.Stz.last_fault_index ~default:0
+              in
               Alcotest.(check bool)
                 (cell ^ ": same analysis") true
-                (Stz.Online.analysis ol = r.S.analysis);
+                (r.S.analysis = reference && Stz.Online.analysis ol = reference);
               Alcotest.(check (option int))
                 (cell ^ ": same latency")
+                (Offline.service_round_latency r.S.vtrace ~after)
+                r.S.recovery_latency;
+              Alcotest.(check (option int))
+                (cell ^ ": same latency over the trace")
                 r.S.recovery_latency (Stz.Online.latency ol))
             seeds)
         wrappers)
     protocols_under_test
 
 let test_streaming_run_equals_recorded () =
-  (* the full streaming path: observer-fed analysis, entry log, and
-     metrics equal the recorded run's, field for field *)
+  (* a run without a trace (free to exit early) reports the recorded
+     full-horizon run's analysis, entry log, and metrics, field for
+     field *)
   List.iter
     (fun (pname, proto) ->
       List.iter
@@ -161,10 +172,10 @@ let test_streaming_run_equals_recorded () =
               let faults =
                 if seed = 1 then crash_plan else plan_for seed
               in
-              let go streaming =
-                S.run proto ~wrapper ~faults ~streaming ~n ~seed ~steps:horizon
+              let go record =
+                S.run proto ~wrapper ~faults ~record ~n ~seed ~steps:horizon
               in
-              let rec_ = go false and str = go true in
+              let rec_ = go true and str = go false in
               let cell = Printf.sprintf "%s/%s/seed %d" pname wname seed in
               Alcotest.(check bool)
                 (cell ^ ": analysis") true
@@ -175,6 +186,9 @@ let test_streaming_run_equals_recorded () =
               Alcotest.(check bool)
                 (cell ^ ": entry log") true
                 (str.S.entry_log = rec_.S.entry_log);
+              Alcotest.(check bool)
+                (cell ^ ": epoch report") true
+                (str.S.epoch_spec = rec_.S.epoch_spec);
               Alcotest.(check int)
                 (cell ^ ": entries")
                 rec_.S.total_entries str.S.total_entries;
@@ -195,12 +209,13 @@ let test_streaming_run_equals_recorded () =
        protocols_under_test)
 
 let test_streaming_deadlock_early_exit () =
-  (* the §4 deadlock: streaming stops once permanently quiescent, yet
-     reports the same analysis as the full recorded horizon *)
+  (* the §4 deadlock: a run without a trace stops once permanently
+     quiescent, yet reports the same analysis as the full recorded
+     horizon *)
   let proto = List.assoc "ra" protocols_under_test in
   let faults = [ S.Drop_requests_window { from_t = 150; until_t = 210 } ] in
-  let go streaming = S.run proto ~faults ~streaming ~n ~seed:1 ~steps:horizon in
-  let rec_ = go false and str = go true in
+  let go record = S.run proto ~faults ~record ~n ~seed:1 ~steps:horizon in
+  let rec_ = go true and str = go false in
   Alcotest.(check bool) "same analysis" true (str.S.analysis = rec_.S.analysis);
   Alcotest.(check bool) "deadlocked" false str.S.analysis.Stz.recovered;
   Alcotest.(check bool)
@@ -217,16 +232,25 @@ let test_live_monitors_equal_offline_report () =
           let faults = plan_for seed in
           let rec_ = S.run proto ~faults ~n ~seed ~steps:horizon in
           let str =
-            S.run proto ~faults ~streaming:true ~live_monitors:true ~n ~seed
+            S.run proto ~faults ~record:false ~live_monitors:true ~n ~seed
               ~steps:horizon
           in
           let cell = Printf.sprintf "%s/seed %d" pname seed in
+          (* the whole-trace ME1-ME3 reference over the recorded run *)
+          let reference =
+            Unityspec.Report.to_string
+              (Offline.check_all ~n ~entries:rec_.S.entry_log rec_.S.vtrace)
+          in
+          Alcotest.(check string)
+            (cell ^ ": monitors over the trace")
+            reference
+            (Unityspec.Report.to_string (S.tme_report rec_));
           match str.S.live_spec with
           | None -> Alcotest.fail (cell ^ ": live_spec missing")
           | Some live ->
             Alcotest.(check string)
               (cell ^ ": same TME_Spec report")
-              (Unityspec.Report.to_string (S.tme_report rec_))
+              reference
               (Unityspec.Report.to_string live))
         [ 1; 2; 3 ])
     (List.filter

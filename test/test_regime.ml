@@ -1,6 +1,6 @@
-(* Regime epochs: plan-derived topology segmentation, online/offline
-   equivalence of the epoch-indexed spec monitors across the registry,
-   and the during-split campaign gates. *)
+(* Regime epochs: plan-derived topology segmentation, equal
+   epoch-indexed spec reports with and without a recorded trace across
+   the registry, and the during-split campaign gates. *)
 
 module Regime = Sim.Regime
 module Faults = Sim.Faults
@@ -113,17 +113,16 @@ let test_cursor_agrees_with_at () =
 (* ------------------------------------------------------------------ *)
 (* Online == offline equivalence                                       *)
 
-(* Every registered protocol, both heal modes, >= 10 seeds: the
-   streaming epoch monitors (Epoch.feed) and the offline recomputation
-   over the recorded trace (Epoch.of_trace) must produce the same
-   report — verdict for verdict, reason for reason.  Odd seeds run
-   unwrapped so the streaming early-exit (synthetic tail feed) is on
-   the tested path. *)
-let epoch_report ~streaming proto ~seed ~mode ~wrapper =
+(* Every registered protocol, both heal modes, >= 10 seeds: the epoch
+   monitors of a recorded full-horizon run and of a run without a
+   trace must produce the same report — verdict for verdict, reason
+   for reason.  Odd seeds run unwrapped so the early exit (synthetic
+   tail feed) is on the tested path. *)
+let epoch_report ~record proto ~seed ~mode ~wrapper =
   let faults =
     [ S.Split { groups = [ [ 0; 1 ] ]; from_t = 300; until_t = 600; mode } ]
   in
-  let r = S.run proto ~n:4 ~seed ~steps:1200 ~streaming ~wrapper ~faults in
+  let r = S.run proto ~n:4 ~seed ~steps:1200 ~record ~wrapper ~faults in
   match r.S.epoch_spec with
   | Some ep -> ep
   | None -> Alcotest.fail "split plan produced no epoch report"
@@ -139,10 +138,10 @@ let test_online_offline_equivalence () =
               else Graybox.Harness.Off
             in
             let off =
-              epoch_report ~streaming:false e.Registry.proto ~seed ~mode ~wrapper
+              epoch_report ~record:true e.Registry.proto ~seed ~mode ~wrapper
             in
             let on =
-              epoch_report ~streaming:true e.Registry.proto ~seed ~mode ~wrapper
+              epoch_report ~record:false e.Registry.proto ~seed ~mode ~wrapper
             in
             let label =
               Printf.sprintf "%s seed %d %s" e.Registry.name seed

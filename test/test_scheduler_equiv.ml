@@ -1,19 +1,30 @@
-(* Scheduler-equivalence suite: the engine's event-indexed move
-   bookkeeping (Fenwick action counts + the network's live-channel
-   rank/select sets) must produce BIT-IDENTICAL schedules to the
-   original per-step full scan it replaced — same RNG draws, same
-   (kind, index) selection, same trace, same verdicts.  Every scenario
-   here runs twice, [~indexed:true] and [~indexed:false], and the
-   results are compared structurally.
+(* Golden-schedule suite: the engine's event-indexed scheduler (Fenwick
+   action counts + the network's live-channel rank/select sets) must
+   keep producing the schedules recorded in [golden_schedules] — same
+   RNG draws, same (kind, index) selection, same trace, same verdicts.
+   The file was generated by an engine that still carried the original
+   per-step full-scan scheduler beside the indexed one, and whose own
+   test asserted the two bit-identical on exactly this grid; the scan
+   scheduler is gone, and its guarantee lives on as these digests.
 
-   The grid deliberately crosses every registered protocol (references,
-   ablations, and negative controls — a protocol that deadlocks or
-   violates safety must do so identically in both modes) with fault
-   scripts that exercise the index maintenance paths: bursts (state
-   corruption + message loss), crash windows with and without losing
-   deliveries (the indexed scheduler keeps an explicit crashed-pid
-   list), buffered splits (waiting-channel promotion), and heavy-tail
-   delays (the waiting set). *)
+   The grid crosses every registered protocol (references, ablations,
+   and negative controls — a protocol that deadlocks or violates
+   safety must keep doing so identically) with fault scripts that
+   exercise the index maintenance paths: bursts (state corruption +
+   message loss), crash windows with and without losing deliveries
+   (the scheduler keeps an explicit crashed-pid list), buffered splits
+   (waiting-channel promotion), and heavy-tail delays (the waiting
+   set); each cell also runs fault-free.  Every run digests its event
+   list, per-snapshot views, forced channels, oracle entry log,
+   analysis and verdicts; every open-loop load run digests its whole
+   [Load.result], latency samples included.
+
+   Regenerate (only when a schedule change is intended, and say why in
+   the change log):
+
+     dune build test/test_scheduler_equiv.exe
+     GOLDEN_SCHEDULES_WRITE=1 ./_build/default/test/test_scheduler_equiv.exe \
+       > test/golden_schedules *)
 
 module R = Graybox.Registry
 module S = Tme.Scenarios
@@ -21,7 +32,7 @@ module S = Tme.Scenarios
 let entries = R.all ()
 
 (* Fault script touching every index-maintenance path; times sit well
-   inside the horizon so recovery is observable either way. *)
+   inside the horizon so recovery is observable. *)
 let stress_faults =
   S.burst ~at:300
   @ [ S.Crash
@@ -38,85 +49,103 @@ let stress_faults =
           chan = Sim.Faults.Any_chan;
           dist = Sim.Faults.Heavy_tail { mean = 3; cap = 12 } } ]
 
-let run_both proto ~wrapper ~faults ~n ~seed ~steps =
-  let go indexed =
-    S.run proto ~wrapper ~faults ~indexed ~live_monitors:true ~n ~seed ~steps
+(* Marshal without sharing sees only the structure of a value, so the
+   digest is a function of the data alone.  Views are flattened first:
+   [local_req] is a balanced map, whose tree shape could differ between
+   equal maps. *)
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let flat_view (v : Graybox.View.t) =
+  ( v.Graybox.View.self,
+    v.Graybox.View.mode,
+    v.Graybox.View.req,
+    Sim.Pid.Map.bindings v.Graybox.View.local_req,
+    v.Graybox.View.clock )
+
+let scenario_digest (r : S.result) =
+  let trace =
+    List.map
+      (fun (snap : _ Sim.Trace.snapshot) ->
+        ( snap.Sim.Trace.time,
+          snap.Sim.Trace.event,
+          Array.map flat_view snap.Sim.Trace.states,
+          Sim.Trace.channels snap ))
+      r.S.vtrace
   in
-  (go true, go false)
+  digest
+    ( trace,
+      r.S.entry_log,
+      r.S.analysis,
+      r.S.recovery_latency,
+      S.tme_report r,
+      r.S.epoch_spec,
+      ( r.S.total_entries,
+        r.S.sent_total,
+        r.S.wrapper_sends,
+        r.S.delivered,
+        r.S.sim_steps ) )
 
-(* snapshot [channels] is a lazy thunk (a closure until forced), so
-   traces compare field-wise with the channel matrix forced *)
-let traces_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : _ Sim.Trace.snapshot) (y : _ Sim.Trace.snapshot) ->
-         x.Sim.Trace.time = y.Sim.Trace.time
-         && x.Sim.Trace.event = y.Sim.Trace.event
-         && x.Sim.Trace.states = y.Sim.Trace.states
-         && Sim.Trace.channels x = Sim.Trace.channels y)
-       a b
+let ns = [ 3; 4; 5; 6; 7; 8 ]
+let seeds = [ 7; 101 ]
 
-let check_equal name (a : S.result) (b : S.result) =
-  Alcotest.(check bool) (name ^ ": vtrace identical") true
-    (traces_equal a.S.vtrace b.S.vtrace);
-  Alcotest.(check bool) (name ^ ": analysis identical") true
-    (a.S.analysis = b.S.analysis);
-  Alcotest.(check (option int)) (name ^ ": recovery latency")
-    a.S.recovery_latency b.S.recovery_latency;
-  Alcotest.(check int) (name ^ ": entries") a.S.total_entries b.S.total_entries;
-  Alcotest.(check int) (name ^ ": sent") a.S.sent_total b.S.sent_total;
-  Alcotest.(check int) (name ^ ": delivered") a.S.delivered b.S.delivered;
-  Alcotest.(check bool) (name ^ ": ME verdicts identical") true
-    (S.tme_report a = S.tme_report b)
-
-let test_grid () =
-  List.iter
+(* One (key, digest thunk) per golden line, in file order. *)
+let scenario_cases ~kind ~faults =
+  List.concat_map
     (fun (e : R.entry) ->
-      List.iter
+      List.concat_map
         (fun seed ->
-          (* n sweeps 3..8: crosses the engine's small-n corner cases
-             (n=3 is the minimum ring) without slowing the suite *)
-          List.iter
+          List.map
             (fun n ->
-              let name = Printf.sprintf "%s n=%d seed=%d" e.R.name n seed in
-              let wrapper =
-                S.wrapped ~delta:e.R.default_delta ()
-              in
-              let a, b =
-                run_both e.R.proto ~wrapper ~faults:stress_faults ~n ~seed
-                  ~steps:2500
-              in
-              check_equal name a b)
-            [ 3; 4; 5; 6; 7; 8 ])
-        [ 7; 101 ])
+              ( Printf.sprintf "%s %s n=%d seed=%d" kind e.R.name n seed,
+                fun () ->
+                  scenario_digest
+                    (S.run e.R.proto
+                       ~wrapper:(S.wrapped ~delta:e.R.default_delta ())
+                       ~faults ~n ~seed ~steps:2500) ))
+            ns)
+        seeds)
     entries
 
-let test_clean_runs () =
-  (* fault-free closed-loop runs must also agree — the index fast path
-     with no crash bookkeeping at all *)
-  List.iter
-    (fun (e : R.entry) ->
-      let a, b =
-        run_both e.R.proto ~wrapper:Graybox.Harness.Off ~faults:[] ~n:5
-          ~seed:23 ~steps:3000
-      in
-      check_equal (e.R.name ^ " clean") a b)
-    entries
+let faulted_cases = scenario_cases ~kind:"faulted" ~faults:stress_faults
+let clean_cases = scenario_cases ~kind:"clean" ~faults:[]
 
-let test_load_indexed_vs_scan () =
-  (* the open-loop driver's result — every latency sample included —
-     is independent of the move-index implementation *)
-  List.iter
+let load_cases =
+  List.map
     (fun (e : R.entry) ->
-      let go indexed =
-        Tme.Load.run ~indexed e.R.proto ~n:40 ~seed:5 ~rate:0.02
-          ~max_requests:25 ~max_steps:12000 ()
-      in
-      let a = go true and b = go false in
-      Alcotest.(check bool) (e.R.name ^ ": load result identical") true (a = b);
-      Alcotest.(check int) (e.R.name ^ ": all granted") a.Tme.Load.requests
-        a.Tme.Load.grants)
+      ( Printf.sprintf "load %s n=40 seed=5" e.R.name,
+        fun () ->
+          let r =
+            Tme.Load.run e.R.proto ~n:40 ~seed:5 ~rate:0.02 ~max_requests:25
+              ~max_steps:12000 ()
+          in
+          assert (r.Tme.Load.requests = r.Tme.Load.grants);
+          digest r ))
     (R.all ~role:R.Reference ())
+
+let golden =
+  lazy
+    (let ic = open_in "golden_schedules" in
+     let tbl = Hashtbl.create 512 in
+     (try
+        while true do
+          let line = input_line ic in
+          if line <> "" && line.[0] <> '#' then
+            match String.rindex_opt line ' ' with
+            | Some i ->
+              Hashtbl.replace tbl (String.sub line 0 i)
+                (String.sub line (i + 1) (String.length line - i - 1))
+            | None -> failwith ("golden_schedules: bad line " ^ line)
+        done
+      with End_of_file -> close_in ic);
+     tbl)
+
+let check_cases cases () =
+  List.iter
+    (fun (key, run) ->
+      match Hashtbl.find_opt (Lazy.force golden) key with
+      | None -> Alcotest.failf "golden_schedules has no line for %s" key
+      | Some want -> Alcotest.(check string) key want (run ()))
+    cases
 
 let test_load_jobs_invariant () =
   (* Pool.map with any worker count returns the same rows in the same
@@ -139,12 +168,26 @@ let test_load_jobs_invariant () =
         (sweep jobs = serial))
     [ 2; 4 ]
 
+let write_golden () =
+  print_string
+    "# Schedule digests of the indexed engine, one per scenario or load run\n\
+     # (test_scheduler_equiv.ml says what each digest covers).  Generated by:\n\
+     #   dune build test/test_scheduler_equiv.exe\n\
+     #   GOLDEN_SCHEDULES_WRITE=1 ./_build/default/test/test_scheduler_equiv.exe \
+     > test/golden_schedules\n";
+  List.iter
+    (fun (key, run) -> Printf.printf "%s %s\n" key (run ()))
+    (faulted_cases @ clean_cases @ load_cases)
+
 let () =
-  Alcotest.run "scheduler_equiv"
-    [ ( "indexed = scan",
-        [ Alcotest.test_case "registry x seed x n grid, faulted" `Slow
-            test_grid;
-          Alcotest.test_case "clean runs" `Quick test_clean_runs;
-          Alcotest.test_case "open-loop load" `Quick test_load_indexed_vs_scan;
-          Alcotest.test_case "load invariant under --jobs" `Quick
-            test_load_jobs_invariant ] ) ]
+  if Sys.getenv_opt "GOLDEN_SCHEDULES_WRITE" <> None then write_golden ()
+  else
+    Alcotest.run "scheduler_equiv"
+      [ ( "golden schedules",
+          [ Alcotest.test_case "registry x seed x n grid, faulted" `Slow
+              (check_cases faulted_cases);
+            Alcotest.test_case "registry x seed x n grid, clean" `Quick
+              (check_cases clean_cases);
+            Alcotest.test_case "open-loop load" `Quick (check_cases load_cases);
+            Alcotest.test_case "load invariant under --jobs" `Quick
+              test_load_jobs_invariant ] ) ]

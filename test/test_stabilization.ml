@@ -15,6 +15,12 @@
 open Tme
 module T = Unityspec.Temporal
 
+let me1 tr =
+  Unityspec.Online.run (Graybox.Tme_spec.me1_online ())
+    (List.map (fun (s : _ Sim.Trace.snapshot) -> s.Sim.Trace.states) tr)
+
+let me3 entries = Unityspec.Online.run (Graybox.Tme_spec.me3_online ()) entries
+
 let ra = Option.get (Graybox.Registry.find_protocol "ra")
 let lamport = Option.get (Graybox.Registry.find_protocol "lamport")
 let unmod = Option.get (Graybox.Registry.find_protocol "lamport-unmod")
@@ -57,7 +63,7 @@ let check_fault_free_conformance proto name () =
 
 let test_central_fault_free_me1 () =
   let r = Scenarios.run central ~n:4 ~seed:11 ~steps:5000 in
-  Alcotest.(check bool) "ME1" true (T.is_ok (Graybox.Tme_spec.me1 r.Scenarios.vtrace))
+  Alcotest.(check bool) "ME1" true (T.is_ok (me1 r.Scenarios.vtrace))
 [@@warning "-33"]
 
 (* Lemma 6 (interference freedom): Lspec box W everywhere implements
@@ -86,9 +92,9 @@ let test_interference_freedom proto name () =
           Alcotest.failf "%s+W: clause %s pending too early" name e.clause)
     (Scenarios.lspec_report r);
   Alcotest.(check bool) "ME1 under wrapper" true
-    (T.is_ok (Graybox.Tme_spec.me1 r.vtrace));
+    (T.is_ok (me1 r.vtrace));
   Alcotest.(check bool) "ME3 under wrapper" true
-    (T.is_ok (Graybox.Tme_spec.me3 r.entry_log));
+    (T.is_ok (me3 r.entry_log));
   Alcotest.(check bool) "wrapper did send" true (r.wrapper_sends > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -120,7 +126,8 @@ let test_wrapper_recovers_lamport_deadlock () =
 
 let test_unrefined_wrapper_also_recovers () =
   recovers ra
-    ~wrapper:(Scenarios.wrapped ~variant:Graybox.Wrapper.Unrefined ~delta:8 ())
+    ~wrapper:
+      (Scenarios.wrapped_term ~term:Graybox.Wrapper.w_unrefined ~delta:8 ())
     ~faults:deadlock_faults ~seed:2 ()
 
 (* ------------------------------------------------------------------ *)
@@ -165,7 +172,7 @@ let test_reusability_same_wrapper () =
 
 let test_negative_control_fault_free_ok () =
   let r = Scenarios.run unmod ~n:4 ~seed:11 ~steps:5000 in
-  Alcotest.(check bool) "ME1 fault-free" true (T.is_ok (Graybox.Tme_spec.me1 r.vtrace));
+  Alcotest.(check bool) "ME1 fault-free" true (T.is_ok (me1 r.vtrace));
   Alcotest.(check bool) "recovered (trivially)" true r.analysis.recovered
 
 let test_negative_control_not_stabilized () =
@@ -208,13 +215,13 @@ let test_timeout_reduces_wrapper_traffic () =
     (lazy_ * 4 < eager)
 
 let test_refined_cheaper_than_unrefined () =
-  let sends variant =
+  let sends term =
     (Scenarios.run ra ~n:4 ~seed:7 ~steps:5000
-       ~wrapper:(Scenarios.wrapped ~variant ~delta:4 ()))
+       ~wrapper:(Scenarios.wrapped_term ~term ~delta:4 ()))
       .wrapper_sends
   in
   Alcotest.(check bool) "refined <= unrefined" true
-    (sends Graybox.Wrapper.Refined <= sends Graybox.Wrapper.Unrefined)
+    (sends Graybox.Wrapper.w_refined <= sends Graybox.Wrapper.w_unrefined)
 
 (* ------------------------------------------------------------------ *)
 (* Message complexity sanity                                            *)
@@ -273,7 +280,7 @@ let test_me3_holds_fault_free_runs () =
       Alcotest.(check bool)
         (Printf.sprintf "ME3 (%s)" r.protocol)
         true
-        (T.is_ok (Graybox.Tme_spec.me3 r.entry_log)))
+        (T.is_ok (me3 r.entry_log)))
     [ ra; lamport ]
 
 let test_post_convergence_suffix_satisfies_safety () =
@@ -286,7 +293,7 @@ let test_post_convergence_suffix_satisfies_safety () =
   | None -> Alcotest.fail "expected convergence"
   | Some i ->
     let suffix = Sim.Trace.suffix_from r.vtrace i in
-    Alcotest.(check bool) "ME1 on suffix" true (T.is_ok (Graybox.Tme_spec.me1 suffix));
+    Alcotest.(check bool) "ME1 on suffix" true (T.is_ok (me1 suffix));
     (match Graybox.Lspec.flow ~n:4 suffix with
      | T.Violated _ -> Alcotest.fail "Flow Spec must hold after convergence"
      | _ -> ());

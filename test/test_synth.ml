@@ -2,14 +2,13 @@
    (Mcheck.Oracle): the synthesizer rediscovers the paper's refined W
    for every synthesizable registry entry, the transcript is invariant
    under the pool width, the oracle's verdicts (and counterexample
-   traces) are invariant under jobs/shards/memory budget, and the DSL
-   terms evaluate exactly as the historical variant surface. *)
+   traces) are invariant under jobs/shards/memory budget. *)
 
 module W = Graybox.Wrapper
 module O = Mcheck.Oracle
-module S = Tme.Scenarios
 
-let ra = Option.get (Graybox.Registry.find_protocol "ra")
+(* resolving through Tme.Scenarios, the registration site, links it in *)
+let ra = Option.get (Tme.Scenarios.find_protocol "ra")
 
 (* -- synthesis ------------------------------------------------------ *)
 
@@ -152,63 +151,6 @@ let test_oracle_verdicts () =
     Alcotest.fail "a never-firing-when-wedged candidate cannot break safety"
   | O.Safe _ -> Alcotest.fail "an eating-gated wrapper cannot unwedge"
 
-(* -- DSL / variant equivalence -------------------------------------- *)
-
-let harvest_views () =
-  (* views from a faulty wrapped run: covers all three modes and
-     mutually-inconsistent timestamp states *)
-  let r =
-    S.run ra ~n:4 ~seed:7 ~steps:4000
-      ~wrapper:(S.wrapped ~delta:4 ())
-      ~faults:(S.burst ~at:800)
-  in
-  List.concat_map
-    (fun snap -> Array.to_list snap.Sim.Trace.states)
-    r.S.vtrace
-
-let test_variant_term_agreement () =
-  let views = harvest_views () in
-  Alcotest.(check bool) "harvested a real sample" true
-    (List.length views > 100);
-  List.iter
-    (fun variant ->
-      let term = W.term_of_variant variant in
-      List.iter
-        (fun v ->
-          Alcotest.(check (list int))
-            "targets variant == term_targets of its term"
-            (W.targets variant v ~n:4)
-            (W.term_targets term v ~n:4 ~timer:0);
-          Alcotest.(check bool) "fire variant == eval of its term" true
-            (W.fire variant v ~n:4 = W.eval term v ~n:4 ~timer:0))
-        views)
-    [ W.Refined; W.Unrefined ]
-
-let test_on_vs_on_term_trace_equal () =
-  (* at delta = 0 the [On Refined] and [On_term w_refined] harness
-     modes have identical enablement and identical sends, so the whole
-     scenario must agree event for event *)
-  let run wrapper =
-    S.run ra ~n:4 ~seed:11 ~steps:6000 ~wrapper
-      ~faults:[ S.Drop_requests_window { from_t = 800; until_t = 860 } ]
-  in
-  let a = run (S.wrapped ~variant:W.Refined ~delta:0 ()) in
-  let b = run (S.wrapped_term ~term:W.w_refined ~delta:0 ()) in
-  Alcotest.(check int) "wrapper sends equal" a.S.wrapper_sends b.S.wrapper_sends;
-  Alcotest.(check int) "total sends equal" a.S.sent_total b.S.sent_total;
-  Alcotest.(check int) "deliveries equal" a.S.delivered b.S.delivered;
-  Alcotest.(check int) "entries equal" a.S.total_entries b.S.total_entries;
-  Alcotest.(check bool) "analyses equal" true (a.S.analysis = b.S.analysis);
-  Alcotest.(check bool) "recovery latency equal" true
-    (a.S.recovery_latency = b.S.recovery_latency);
-  Alcotest.(check bool) "view traces equal" true
-    (List.for_all2
-       (fun (x : _ Sim.Trace.snapshot) (y : _ Sim.Trace.snapshot) ->
-         x.Sim.Trace.time = y.Sim.Trace.time
-         && x.Sim.Trace.event = y.Sim.Trace.event
-         && x.Sim.Trace.states = y.Sim.Trace.states)
-       a.S.vtrace b.S.vtrace)
-
 let () =
   Alcotest.run "synth"
     [ ( "cegis",
@@ -223,9 +165,4 @@ let () =
       ( "oracle",
         [ Alcotest.test_case "verdicts" `Quick test_oracle_verdicts;
           Alcotest.test_case "safe verdict differential" `Slow oracle_safe;
-          Alcotest.test_case "cex differential" `Slow oracle_cex ] );
-      ( "dsl",
-        [ Alcotest.test_case "variant == term evaluation" `Quick
-            test_variant_term_agreement;
-          Alcotest.test_case "On == On_term at delta 0" `Quick
-            test_on_vs_on_term_trace_equal ] ) ]
+          Alcotest.test_case "cex differential" `Slow oracle_cex ] ) ]

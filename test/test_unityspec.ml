@@ -1,6 +1,8 @@
 (* Tests for the UNITY temporal operators and the clause-report
-   container, including cross-checks of the operators' laws on random
-   boolean traces. *)
+   container.  The whole-trace operators of the reference model
+   ([Offline], test-side) are checked on hand-made traces and against
+   their laws on random boolean traces; the library's online monitors
+   are then checked verdict for verdict against them. *)
 
 open Unityspec
 
@@ -13,60 +15,60 @@ let ok = Temporal.is_ok
 (* Safety operators                                                    *)
 
 let test_invariant () =
-  Alcotest.(check bool) "holds" true (ok (Temporal.invariant (fun x -> x > 0) [ 1; 2; 3 ]));
-  (match Temporal.invariant ~name:"positive" (fun x -> x > 0) [ 1; 0; 3 ] with
+  Alcotest.(check bool) "holds" true (ok (Offline.invariant (fun x -> x > 0) [ 1; 2; 3 ]));
+  (match Offline.invariant ~name:"positive" (fun x -> x > 0) [ 1; 0; 3 ] with
    | Temporal.Violated { at = 1; reason } ->
      Alcotest.(check bool) "reason names clause" true
        (String.length reason > 0 && String.sub reason 0 8 = "positive")
    | _ -> Alcotest.fail "expected violation at 1");
   Alcotest.(check bool) "empty trace" true
-    (ok (Temporal.invariant (fun _ -> false) []))
+    (ok (Offline.invariant (fun _ -> false) []))
 
 let test_unless () =
   (* p unless q: from p-and-not-q, next is p or q *)
   let p x = x = 1 and q x = x = 2 in
-  Alcotest.(check bool) "p persists" true (ok (Temporal.unless ~p ~q [ 1; 1; 1 ]));
-  Alcotest.(check bool) "p to q" true (ok (Temporal.unless ~p ~q [ 1; 2; 0 ]));
-  Alcotest.(check bool) "p escapes" false (ok (Temporal.unless ~p ~q [ 1; 0 ]));
+  Alcotest.(check bool) "p persists" true (ok (Offline.unless ~p ~q [ 1; 1; 1 ]));
+  Alcotest.(check bool) "p to q" true (ok (Offline.unless ~p ~q [ 1; 2; 0 ]));
+  Alcotest.(check bool) "p escapes" false (ok (Offline.unless ~p ~q [ 1; 0 ]));
   Alcotest.(check bool) "no p no constraint" true
-    (ok (Temporal.unless ~p ~q [ 0; 3; 0 ]))
+    (ok (Offline.unless ~p ~q [ 0; 3; 0 ]))
 
 let test_stable () =
   let p x = x >= 2 in
-  Alcotest.(check bool) "stays" true (ok (Temporal.stable p [ 0; 2; 3; 4 ]));
-  Alcotest.(check bool) "drops" false (ok (Temporal.stable p [ 2; 1 ]))
+  Alcotest.(check bool) "stays" true (ok (Offline.stable p [ 0; 2; 3; 4 ]));
+  Alcotest.(check bool) "drops" false (ok (Offline.stable p [ 2; 1 ]))
 
 let test_step_invariant () =
   Alcotest.(check bool) "monotone" true
-    (ok (Temporal.step_invariant (fun a b -> a <= b) [ 1; 2; 2; 5 ]));
-  (match Temporal.step_invariant (fun a b -> a <= b) [ 1; 0 ] with
+    (ok (Offline.step_invariant (fun a b -> a <= b) [ 1; 2; 2; 5 ]));
+  (match Offline.step_invariant (fun a b -> a <= b) [ 1; 0 ] with
    | Temporal.Violated { at = 1; _ } -> ()
    | _ -> Alcotest.fail "expected violation at 1");
   Alcotest.(check bool) "singleton" true
-    (ok (Temporal.step_invariant (fun _ _ -> false) [ 1 ]))
+    (ok (Offline.step_invariant (fun _ _ -> false) [ 1 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Liveness operators                                                  *)
 
 let test_leads_to () =
   let p x = x = 1 and q x = x = 9 in
-  Alcotest.(check bool) "discharged" true (ok (Temporal.leads_to ~p ~q [ 1; 0; 9 ]));
+  Alcotest.(check bool) "discharged" true (ok (Offline.leads_to ~p ~q [ 1; 0; 9 ]));
   Alcotest.(check bool) "p equals q point" true
-    (ok (Temporal.leads_to ~p ~q:(fun x -> x = 1) [ 1 ]));
-  (match Temporal.leads_to ~p ~q [ 0; 1; 0; 1 ] with
+    (ok (Offline.leads_to ~p ~q:(fun x -> x = 1) [ 1 ]));
+  (match Offline.leads_to ~p ~q [ 0; 1; 0; 1 ] with
    | Temporal.Pending { obligations } ->
      Alcotest.(check (list int)) "both open" [ 1; 3 ] obligations
    | _ -> Alcotest.fail "expected pending");
   Alcotest.(check bool) "multiple discharged by one q" true
-    (ok (Temporal.leads_to ~p ~q [ 1; 1; 1; 9 ]))
+    (ok (Offline.leads_to ~p ~q [ 1; 1; 1; 9 ]))
 
 let test_leads_to_always () =
   let p x = x = 1 and q x = x >= 9 in
   Alcotest.(check bool) "holds" true
-    (ok (Temporal.leads_to_always ~p ~q [ 1; 0; 9; 10 ]));
+    (ok (Offline.leads_to_always ~p ~q [ 1; 0; 9; 10 ]));
   Alcotest.(check bool) "q unstable" false
-    (ok (Temporal.leads_to_always ~p ~q [ 1; 9; 0 ]));
-  (match Temporal.leads_to_always ~p ~q [ 1; 0 ] with
+    (ok (Offline.leads_to_always ~p ~q [ 1; 9; 0 ]));
+  (match Offline.leads_to_always ~p ~q [ 1; 0 ] with
    | Temporal.Pending _ -> ()
    | _ -> Alcotest.fail "expected pending")
 
@@ -101,16 +103,16 @@ let test_both_and_all () =
   | _ -> Alcotest.fail "pending survives all"
 
 let test_forall () =
-  let v = Temporal.forall (fun i -> if i = 2 then Temporal.Violated { at = 0; reason = "i2" } else Temporal.Holds) 4 in
+  let v = Offline.forall (fun i -> if i = 2 then Temporal.Violated { at = 0; reason = "i2" } else Temporal.Holds) 4 in
   (match v with
    | Temporal.Violated { reason = "i2"; _ } -> ()
    | _ -> Alcotest.fail "expected i2 violation");
-  Alcotest.(check bool) "all hold" true (ok (Temporal.forall (fun _ -> Temporal.Holds) 3))
+  Alcotest.(check bool) "all hold" true (ok (Offline.forall (fun _ -> Temporal.Holds) 3))
 
 let test_forall_pairs () =
   let seen = ref [] in
   let _ =
-    Temporal.forall_pairs
+    Offline.forall_pairs
       (fun j k ->
         seen := (j, k) :: !seen;
         Temporal.Holds)
@@ -128,29 +130,29 @@ let gen_trace = QCheck2.Gen.(list_size (1 -- 30) (0 -- 3))
 let test_stable_is_unless_false =
   qtest "stable p = p unless false" gen_trace (fun tr ->
       let p x = x >= 2 in
-      ok (Temporal.stable p tr)
-      = ok (Temporal.unless ~p ~q:(fun _ -> false) tr))
+      ok (Offline.stable p tr)
+      = ok (Offline.unless ~p ~q:(fun _ -> false) tr))
 
 let test_invariant_implies_stable =
   qtest "invariant p implies stable p" gen_trace (fun tr ->
       let p x = x >= 1 in
-      (not (ok (Temporal.invariant p tr))) || ok (Temporal.stable p tr))
+      (not (ok (Offline.invariant p tr))) || ok (Offline.stable p tr))
 
 let test_leads_to_reflexive =
   qtest "p leads_to p" gen_trace (fun tr ->
-      ok (Temporal.leads_to ~p:(fun x -> x = 2) ~q:(fun x -> x = 2) tr))
+      ok (Offline.leads_to ~p:(fun x -> x = 2) ~q:(fun x -> x = 2) tr))
 
 let test_leads_to_weakening =
   qtest "leads_to weakens target" gen_trace (fun tr ->
       let p x = x = 1 in
       let q x = x = 2 in
       let q' x = x >= 2 in
-      (not (ok (Temporal.leads_to ~p ~q tr)))
-      || ok (Temporal.leads_to ~p ~q:q' tr))
+      (not (ok (Offline.leads_to ~p ~q tr)))
+      || ok (Offline.leads_to ~p ~q:q' tr))
 
 let test_unless_with_q_true =
   qtest "p unless true always holds" gen_trace (fun tr ->
-      ok (Temporal.unless ~p:(fun x -> x = 1) ~q:(fun _ -> true) tr))
+      ok (Offline.unless ~p:(fun x -> x = 1) ~q:(fun _ -> true) tr))
 
 (* ------------------------------------------------------------------ *)
 (* Online monitors: exact equivalence with the offline operators       *)
@@ -171,25 +173,25 @@ let online_equiv name offline online =
       same_verdict (offline tr) (Online.run online tr))
 
 let test_online_invariant =
-  online_equiv "invariant" (Temporal.invariant p) (Online.invariant p)
+  online_equiv "invariant" (Offline.invariant p) (Online.invariant p)
 
 let test_online_step_invariant =
   online_equiv "step_invariant"
-    (Temporal.step_invariant ( <= ))
+    (Offline.step_invariant ( <= ))
     (Online.step_invariant ( <= ))
 
 let test_online_unless =
-  online_equiv "unless" (Temporal.unless ~p ~q) (Online.unless p q)
+  online_equiv "unless" (Offline.unless ~p ~q) (Online.unless p q)
 
 let test_online_stable =
-  online_equiv "stable" (Temporal.stable q) (Online.stable q)
+  online_equiv "stable" (Offline.stable q) (Online.stable q)
 
 let test_online_leads_to =
-  online_equiv "leads_to" (Temporal.leads_to ~p ~q) (Online.leads_to p q)
+  online_equiv "leads_to" (Offline.leads_to ~p ~q) (Online.leads_to p q)
 
 let test_online_leads_to_always =
   online_equiv "leads_to_always"
-    (Temporal.leads_to_always ~p ~q)
+    (Offline.leads_to_always ~p ~q)
     (Online.leads_to_always p q)
 
 let test_online_persistence () =
