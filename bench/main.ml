@@ -879,8 +879,9 @@ let mcheck_bench () =
     (c, stats, violated, dt, r)
   in
   (* The n=3 depth-16 workload (>=100k states) is the anchor: it runs
-     serially, sharded at jobs 2 and 8 (the checker promises identical
-     results for every jobs/shards value — asserted on each run),
+     with one shard, with 2 and 8 (jobs 2 and 8 pick the shard count;
+     the checker promises identical results for every jobs/shards
+     value — asserted on each run),
      spill-forced under a tight memory budget (identical results
      modulo the memory figures — also asserted), and once with POR
      (same verdict from strictly fewer states — asserted). *)
